@@ -176,8 +176,12 @@ class QAgent:
 
     def get_state(self) -> dict:
         """JSON-compatible snapshot of everything that evolves during a
-        run: exploration rate, replay buffer, direction prior, both
-        networks (with optimizer accumulators), and the private RNG."""
+        run: exploration rate, replay buffer, direction prior, the
+        Q-network (with optimizer accumulators), and the private RNG.
+
+        The target network is not stored: outside :meth:`train` it is
+        always a parameter copy of the Q-network (and its own optimizer
+        is never stepped), so :meth:`set_state` rebuilds it exactly."""
         return {
             "epsilon": self.epsilon,
             "trials_since_training": self._trials_since_training,
@@ -194,7 +198,6 @@ class QAgent:
             ],
             "losses": list(self.losses),
             "network": self.network.get_state(),
-            "target_network": self.target_network.get_state(),
             "rng": self._rng.bit_generator.state,
         }
 
@@ -215,7 +218,7 @@ class QAgent:
         ]
         self.losses = list(state.get("losses", []))
         self.network.set_state(state["network"])
-        self.target_network.set_state(state["target_network"])
+        self.target_network.copy_from(self.network)
         self._rng.bit_generator.state = state["rng"]
 
 

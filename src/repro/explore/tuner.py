@@ -197,11 +197,16 @@ class BaseTuner:
             num_seeds: heuristic + random seed points evaluated up front.
             checkpoint: path of a JSONL checkpoint file; when set, full
                 tuner state is snapshotted every ``checkpoint_every``
-                trials (atomic write-then-rename).
+                trials and after the final trial (atomic
+                write-then-rename).
             checkpoint_every: snapshot period in trials.
             resume: restore the newest snapshot from ``checkpoint`` (if
                 any) and continue from its trial index; the finished run
                 is bit-identical to an uninterrupted one.
+
+        The persistent evaluation cache is made durable before every
+        snapshot and on return, so a durable snapshot never refers to
+        cache lines a machine crash could still lose.
         """
         start_trial = 0
         if checkpoint and resume:
@@ -211,8 +216,11 @@ class BaseTuner:
         for trial in range(start_trial, trials):
             self._run_trial(trial)
             self._end_trial(trial)
-            if checkpoint and (trial + 1) % checkpoint_every == 0:
-                save_checkpoint(checkpoint, self._snapshot(trial + 1))
+            done = trial + 1
+            if checkpoint and (done % checkpoint_every == 0 or done == trials):
+                self._sync_cache()
+                save_checkpoint(checkpoint, self._snapshot(done))
+        self._sync_cache()
         result = self._result()
         if self.engine is not None:
             # Engine counters are per-process, so after a resume they
@@ -234,6 +242,10 @@ class BaseTuner:
 
     def _end_trial(self, trial: int) -> None:
         """Per-trial hook (the Q-method trains its network here)."""
+
+    def _sync_cache(self) -> None:
+        if self.evaluator.eval_cache is not None:
+            self.evaluator.eval_cache.sync()
 
     # -- checkpoint/resume -------------------------------------------------
 

@@ -16,8 +16,9 @@ problem in the style of MetaSchedule/Ansor:
    network time.
 
 2. **Gain-driven allocation** — tuning proceeds in rounds of short trial
-   slices (``optimize(checkpoint=..., resume=True, checkpoint_every=1)``
-   — sliced tuning is bit-identical to one-shot, the PR-6 contract).
+   slices (``optimize(checkpoint=..., resume=True)``, snapshotted once
+   at the slice's end — sliced tuning is bit-identical to one-shot, the
+   tuning service's contract).
    Every round re-ranks the runnable tasks by *predicted end-to-end
    latency gain*: the observed improvement of the task's network-time
    contribution per trial over its recent slices.  Cold tasks (no trials
@@ -654,7 +655,9 @@ class NetworkTaskScheduler:
             eval_cache=self.eval_cache,
             measure_config=self.measure_config,
             checkpoint=self._task_checkpoint(task),
-            checkpoint_every=1,
+            # A period of the whole run: the one snapshot is the one
+            # tune() always writes after the slice's final trial.
+            checkpoint_every=target,
             resume=True,
             **self.tuner_kwargs,
         )

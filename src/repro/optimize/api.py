@@ -238,7 +238,8 @@ def optimize(
         fault_injector: a :class:`~repro.runtime.FaultInjector` imposing
             simulated compile errors, hangs and flaky measurements.
         checkpoint: path of a JSONL checkpoint file; tuner state is
-            snapshotted every ``checkpoint_every`` trials when set.
+            snapshotted every ``checkpoint_every`` trials and after the
+            final trial when set.
         resume: restore the newest checkpoint snapshot (if any) and
             continue the interrupted run from its trial index.
         workers: candidate evaluations per batch.  1 (default) keeps the

@@ -11,6 +11,11 @@ performance value, so *permanent* failures (compile errors, lowering
 errors, timeouts) are cached too and never re-measured on a warm run.
 Like the PR-1 :class:`RecordBook`, a file truncated mid-append (killed
 process) or hand-corrupted loses only the bad lines, never the cache.
+
+Appends are group-committed: each line is written and flushed under the
+file lock, but made durable only by :meth:`EvalCache.sync`, which the
+tuning loop calls before every checkpoint write and when it returns.
+The durable cache therefore always covers the durable tuner snapshot.
 """
 
 from __future__ import annotations
@@ -38,8 +43,9 @@ class EvalCache:
     ``(performance, status_value)``.  ``op_signature`` is produced by the
     evaluator and encodes operator structure, shapes, target and device,
     so one directory can safely serve many workloads.  Writes append one
-    fsync'd JSONL line (crash loses at most the line being written, which
-    the loader then skips); reads hit the LRU first and fall back to the
+    flushed JSONL line (a killed process loses at most a torn line, which
+    the loader skips; a machine crash at most the lines since the last
+    :meth:`sync`); reads hit the LRU first and fall back to the
     disk-loaded index.
     """
 
@@ -56,6 +62,7 @@ class EvalCache:
         self.misses = 0
         self.stores = 0
         self.disk_hits = 0
+        self._unsynced = False
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             self._load()
@@ -112,7 +119,18 @@ class EvalCache:
         with open(path, "a") as f, locked(f):
             f.write(line + "\n")
             f.flush()
+        self._unsynced = True
+
+    def sync(self) -> None:
+        """Make every line appended so far durable (one fsync per group).
+
+        fsync covers the file, not the descriptor, so reopening the log
+        reaches the lines written through the per-append handles."""
+        if not self._unsynced:
+            return
+        with open(self.path, "a") as f:
             os.fsync(f.fileno())
+        self._unsynced = False
 
     # -- public API --------------------------------------------------------
 

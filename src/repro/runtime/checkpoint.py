@@ -7,7 +7,8 @@ last; writes go through a temp file + ``os.replace`` so a kill at any
 instant leaves either the old file or the new one, never a torn write.
 Loading walks the lines backwards and returns the newest parseable
 snapshot, so even a checkpoint file truncated by a dying filesystem
-still resumes from the latest intact state.
+still resumes from the latest intact state.  Snapshots of another
+schema version are skipped too: a run finding only those starts fresh.
 
 See ``docs/robustness.md`` for the snapshot schema.
 """
@@ -20,8 +21,9 @@ import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-#: Schema version stamped into every snapshot.
-CHECKPOINT_VERSION = 1
+#: Schema version stamped into every snapshot and required at load.
+#: Version 2: network arrays as base64 float64 bytes, no target network.
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(
@@ -54,7 +56,8 @@ def load_checkpoint(path: Union[str, Path]) -> Optional[Dict]:
     """The newest valid snapshot in a checkpoint file, or None.
 
     Corrupt or truncated lines (e.g. the process died mid-append on a
-    filesystem without atomic rename) are skipped with a warning.
+    filesystem without atomic rename) and snapshots of any other
+    :data:`CHECKPOINT_VERSION` are skipped with a warning.
     """
     path = Path(path)
     if not path.exists():
@@ -73,6 +76,12 @@ def load_checkpoint(path: Union[str, Path]) -> Optional[Dict]:
             continue
         if not isinstance(snapshot, dict):
             warnings.warn(f"skipping non-object checkpoint line in {path}")
+            continue
+        if snapshot.get("version") != CHECKPOINT_VERSION:
+            warnings.warn(
+                f"skipping version {snapshot.get('version')!r} checkpoint "
+                f"snapshot in {path} (this build reads {CHECKPOINT_VERSION})"
+            )
             continue
         return snapshot
     return None

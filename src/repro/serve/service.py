@@ -286,8 +286,11 @@ class TuningService:
 
         ``optimize(resume=True)`` restores the job's checkpoint (if
         any), runs up to ``slice_trials`` further trials, and snapshots
-        after every trial — so however the daemon dies, the next slice
-        continues from the last durable trial bit-identically."""
+        once, after the slice's final trial — so however the daemon
+        dies, the next slice continues from the last durable slice end
+        and finds the same schedules (a rerun trial that hits the
+        EvalCache is not billed again, so only measurement counts can
+        differ)."""
         from ..optimize import optimize  # local: avoid an import cycle
 
         output = OPERATORS[job.operator](**job.params)
@@ -300,7 +303,9 @@ class TuningService:
             seed=job.seed,
             method=job.method,
             checkpoint=self.store.checkpoint_path(job.job_id),
-            checkpoint_every=1,
+            # A period of the whole job: the one snapshot is the one
+            # tune() always writes after the slice's final trial.
+            checkpoint_every=target_trials,
             resume=True,
             workers=self.config.workers,
             cache_dir=str(self.cache_dir),

@@ -1,9 +1,15 @@
 """Network-level task scheduler: dedup, determinism, crash parity,
 ε-floor fairness, shared-cache accounting, and the serve read path."""
 
+import json
 import math
+import shutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import repro.explore.tuner as tuner_module
 
 from repro.__main__ import main
 from repro.model import XEON_E5_2699V4
@@ -121,6 +127,39 @@ class TestKillResumeParity:
         stale = run(first_dir)     # checkpoint files from the first run present
         clean = run(clone_dir)     # none
         assert stale.state_digest() == clean.state_digest()
+
+    def test_other_version_checkpoints_start_fresh(self, tmp_path):
+        """Snapshots of an older schema are skipped: resume=True on them
+        behaves exactly like a fresh run over the same stores."""
+        old_dir = tmp_path / "old"
+        run(old_dir)
+        clean_dir = tmp_path / "clean"
+        shutil.copytree(old_dir, clean_dir)
+        shutil.rmtree(clean_dir / "ckpt")
+        for path in (old_dir / "ckpt").glob("*.ckpt"):
+            snapshots = [json.loads(line) for line in path.read_text().splitlines()]
+            for snapshot in snapshots:
+                snapshot["version"] = 1
+            path.write_text("".join(json.dumps(s) + "\n" for s in snapshots))
+        with pytest.warns(UserWarning, match="version 1"):
+            stale = run(old_dir, resume=True)
+        assert stale.state_digest() == run(clean_dir).state_digest()
+
+    def test_one_task_snapshot_per_slice(self, tmp_path, monkeypatch):
+        saves = Counter()
+        save = tuner_module.save_checkpoint
+
+        def counting_save(path, snapshot, *args, **kwargs):
+            saves[Path(path).name] += 1
+            return save(path, snapshot, *args, **kwargs)
+
+        monkeypatch.setattr(tuner_module, "save_checkpoint", counting_save)
+        result = run(tmp_path)
+        slices = Counter(
+            f"task-{entry['task']:03d}-r{entry['restart']}.ckpt" for entry in result.trace
+        )
+        assert saves == slices
+        assert sum(saves.values()) == result.slices_run
 
     def test_killed_exception_escapes_except_exception(self, tmp_path):
         with pytest.raises(NetworkKilled):
