@@ -72,14 +72,27 @@ class _QualityStats:
         return self.correlation_sum / self.batches if self.batches else 0.0
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """0-based ranks where tied values share the mean of their positions,
+    so the ranking does not depend on the order ties arrive in."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends - 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
-    """Spearman rank correlation (0.0 when either side is constant)."""
+    """Spearman rank correlation with average ranks for ties (0.0 when
+    either side is constant)."""
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if len(x) < 2 or np.ptp(x) == 0 or np.ptp(y) == 0:
         return 0.0
-    rx = np.argsort(np.argsort(x)).astype(np.float64)
-    ry = np.argsort(np.argsort(y)).astype(np.float64)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     rx -= rx.mean()
     ry -= ry.mean()
     denom = math.sqrt(float((rx**2).sum()) * float((ry**2).sum()))

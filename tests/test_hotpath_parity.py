@@ -4,7 +4,7 @@ Every fast path introduced by the per-point hot-path work must be
 *bit-identical* to the scalar code it replaces:
 
 * the array-compiled GBT (``repro.learn.gbt``) against the retained
-  scalar implementation in ``repro.learn.reference``;
+  scalar implementation in ``tests/gbt_reference.py``;
 * ``batch_point_features`` against per-point ``point_features``;
 * memoized structural lowering against fresh lowering (index maps,
   loops, primitives, and the numerics of interpretation and codegen);
@@ -39,12 +39,13 @@ from repro.explore import (
     SurrogateScreen,
 )
 from repro.learn import GradientBoostedTrees
-from repro.learn.reference import ReferenceGradientBoostedTrees
 from repro.model import V100
 from repro.ops import conv2d_compute, gemm_compute
 from repro.runtime import Evaluator
 from repro.schedule import lower
 from repro.space import build_space
+
+from .gbt_reference import ReferenceGradientBoostedTrees
 
 GBT_KWARGS = dict(num_rounds=8, max_depth=3, learning_rate=0.3)
 
@@ -75,6 +76,31 @@ def training_matrix(seed, ties, discrete):
     if ties:
         y = np.round(y)
     return x, y, rng.normal(size=(16, f))
+
+
+def surrogate_like_matrix(seed, n, duplicated, affine, constant):
+    """A problem shaped like the surrogate's refits: n in [12, 64] rows of
+    70 features, log1p GFLOPS targets.  Its feature matrices carry
+    duplicated columns, positively-affine copies (the same row partitions
+    at different thresholds) and constant columns — the regime where the
+    split shortlist holds many candidates over few distinct partitions."""
+    rng = np.random.default_rng(seed)
+    width = 70
+    extra = 12 * duplicated + 12 * affine + 10 * constant
+    base = rng.integers(0, 5, size=(n, width - extra)).astype(np.float64)
+    base[:, ::3] = rng.normal(size=base[:, ::3].shape)
+    blocks = [base]
+    if duplicated:
+        blocks.append(base[:, rng.integers(0, base.shape[1], size=12)])
+    if affine:
+        picked = base[:, rng.integers(0, base.shape[1], size=12)]
+        blocks.append(picked * rng.uniform(0.25, 4.0, size=12) + rng.normal(size=12))
+    if constant:
+        blocks.append(np.broadcast_to(rng.normal(size=10), (n, 10)))
+    x = np.concatenate(blocks, axis=1)[:, rng.permutation(width)]
+    gflops = rng.gamma(2.0, 3.0, size=n)
+    gflops[rng.random(n) < 0.1] = 0.0  # failed measurements score zero
+    return x, np.log1p(gflops), rng.normal(size=(16, width))
 
 
 class TestGBTParity:
@@ -113,6 +139,61 @@ class TestGBTParity:
         slow = ReferenceGradientBoostedTrees(**GBT_KWARGS).fit(x, y)
         assert states_equal(fast.get_state(), slow.get_state())
         assert np.array_equal(fast.predict(x), slow.predict(x))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.integers(12, 64),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_surrogate_shaped_matrices_match_reference(
+        self, seed, n, duplicated, affine, constant
+    ):
+        x, y, queries = surrogate_like_matrix(seed, n, duplicated, affine, constant)
+        fast = GradientBoostedTrees(**GBT_KWARGS).fit(x, y)
+        slow = ReferenceGradientBoostedTrees(**GBT_KWARGS).fit(x, y)
+        assert states_equal(fast.get_state(), slow.get_state())
+        assert np.array_equal(fast.predict(queries), slow.predict(queries))
+        assert np.array_equal(fast.predict(x), slow.predict(x))
+
+    def test_real_conv2d_features_match_reference(self):
+        # The surrogate's own inputs: batch_point_features rows of a
+        # conv2d space, log1p GFLOPS targets, the default 30-round model.
+        ev = Evaluator(WORKLOADS["conv2d"](), V100)
+        rng = np.random.default_rng(23)
+        points = []
+        while len(points) < 48:
+            p = ev.space.random_point(rng)
+            if p not in points:
+                points.append(p)
+        x = batch_point_features(ev.space, points)
+        y = np.log1p([ev.evaluate(p) for p in points[:40]])
+        fast = GradientBoostedTrees().fit(x[:40], y)
+        slow = ReferenceGradientBoostedTrees().fit(x[:40], y)
+        assert len(fast.get_state()["trees"]) > 1
+        assert states_equal(fast.get_state(), slow.get_state())
+        assert np.array_equal(fast.predict(x), slow.predict(x))
+
+    def test_split_stats_memo_is_scoped_to_one_fit(self):
+        # The per-row-set memo is only valid for one x.  Refitting the same
+        # model on a different x of the same shape (every row set repeats)
+        # must equal a fresh model's fit and the oracle's, and no fitted
+        # tree keeps the memo.
+        rng = np.random.default_rng(29)
+        model = GradientBoostedTrees(**GBT_KWARGS)
+        for _ in range(2):
+            x = rng.normal(size=(40, 12))
+            y = rng.normal(size=40)
+            model.fit(x, y)
+            fresh = GradientBoostedTrees(**GBT_KWARGS).fit(x, y)
+            slow = ReferenceGradientBoostedTrees(**GBT_KWARGS).fit(x, y)
+            assert json.dumps(model.get_state()) == json.dumps(fresh.get_state())
+            assert states_equal(model.get_state(), slow.get_state())
+            assert np.array_equal(model.predict(x), fresh.predict(x))
+            assert np.array_equal(model.predict(x), slow.predict(x))
+            held = [
+                name for obj in (model, *model._trees)
+                for name, value in vars(obj).items()
+                if isinstance(value, (dict, tuple))
+            ]
+            assert held == []
 
     def test_unfitted_and_tiny_inputs(self):
         fast = GradientBoostedTrees(**GBT_KWARGS)

@@ -64,6 +64,28 @@ class TestSpearman:
     def test_short_input_is_zero(self):
         assert spearman([1], [2]) == 0.0
 
+    def test_ties_take_average_ranks(self):
+        # x ranks (0.5, 0.5, 2.5, 2.5), y ranks (1, 0, 3, 2): centred dot
+        # product 4 over sqrt(4 * 5).
+        assert spearman([1, 1, 2, 2], [2, 1, 4, 3]) == pytest.approx(4 / np.sqrt(20))
+
+    def test_permuting_tied_items_keeps_the_value(self):
+        # Piecewise-constant GBT scores tie often: the value must not
+        # depend on the order the tied candidates were submitted in.
+        predicted = [3.0, 1.0, 1.0, 2.0, 2.0, 2.0, 0.5]
+        actual = [9.0, 4.0, 1.0, 7.0, 5.0, 6.0, 2.0]
+        reference = spearman(predicted, actual)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            perm = rng.permutation(len(predicted))
+            assert spearman(
+                [predicted[i] for i in perm], [actual[i] for i in perm]
+            ) == pytest.approx(reference, abs=1e-12)
+        # Swapping the measured values among a tied score group is
+        # invisible to the ranking too.
+        swapped = [9.0, 1.0, 4.0, 5.0, 6.0, 7.0, 2.0]
+        assert spearman(predicted, swapped) == pytest.approx(reference, abs=1e-12)
+
 
 class TestGBTState:
     def test_roundtrip_predictions_bit_exact(self):
