@@ -29,7 +29,6 @@ from ..ir import (
     Tensor,
     affine_coefficients,
     collect_tensor_refs,
-    stride_of,
 )
 
 
@@ -60,9 +59,9 @@ class _PinnedLRU:
 
     Values are stored together with the objects whose ``id()`` appears in
     the key, so those ids stay unique while (and only while) the entry is
-    cached; eviction drops the pin with the entry (the same discipline as
-    ``_COEFFICIENT_CACHE``).  ``get`` returns the ``(value, pins)`` entry
-    or ``None``, so legitimately-``None`` values are representable.
+    cached; eviction drops the pin with the entry.  ``get`` returns the
+    ``(value, pins)`` entry or ``None``, so legitimately-``None`` values
+    are representable.
     """
 
     __slots__ = ("cap", "data")
@@ -82,20 +81,21 @@ class _PinnedLRU:
         while len(self.data) > self.cap:
             self.data.popitem(last=False)
 
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def clear(self) -> None:
+        self.data.clear()
+
 
 # The performance models call these for every candidate point; the
-# answers depend only on (op, tensor, tile/axis) identity, so memoizing
-# them turns the per-point model evaluation into mostly table lookups
-# (ISSUE #7's hot-path vectorization).
+# answers depend only on (op, tensor, axis) identity, so memoizing them
+# turns the per-point model evaluation into mostly table lookups.
 _FLOPS_CACHE = _PinnedLRU(COEFFICIENT_CACHE_CAP)
 _READS_CACHE = _PinnedLRU(COEFFICIENT_CACHE_CAP)
+_COEFFICIENT_CACHE = _PinnedLRU(COEFFICIENT_CACHE_CAP)
+_FOOTPRINT_PLANS = _PinnedLRU(COEFFICIENT_CACHE_CAP)
 _STRIDE_CACHE = _PinnedLRU(1024)
-_FOOTPRINT_CACHE = _PinnedLRU(4096)
-
-# Maps (id(op), id(tensor)) -> (result, op, tensor).  The op/tensor are
-# stored in the value so their ids stay unique while (and only while)
-# the entry is cached; eviction drops the pin together with the entry.
-_COEFFICIENT_CACHE: "OrderedDict" = OrderedDict()
 
 
 def access_coefficients(op: ComputeOp, tensor: Tensor):
@@ -106,10 +106,9 @@ def access_coefficients(op: ComputeOp, tensor: Tensor):
     candidate point, and the probing answer only depends on (op, tensor).
     """
     key = (id(op), id(tensor))
-    cached = _COEFFICIENT_CACHE.get(key)
-    if cached is not None:
-        _COEFFICIENT_CACHE.move_to_end(key)
-        return cached[0]
+    entry = _COEFFICIENT_CACHE.get(key)
+    if entry is not None:
+        return entry[0]
     axes = list(op.all_axes)
     refs = [r for r in tensor_reads(op) if r.tensor is tensor]
     if not refs:
@@ -117,10 +116,37 @@ def access_coefficients(op: ComputeOp, tensor: Tensor):
     else:
         ref = refs[0]
         result = [affine_coefficients(index, axes) for index in ref.indices]
-    _COEFFICIENT_CACHE[key] = (result, op, tensor)
-    while len(_COEFFICIENT_CACHE) > COEFFICIENT_CACHE_CAP:
-        _COEFFICIENT_CACHE.popitem(last=False)
+    _COEFFICIENT_CACHE.put(key, result, (op, tensor))
     return result
+
+
+def footprint_plan(op: ComputeOp, tensor: Tensor):
+    """The tile-independent half of :func:`tile_footprint`, per (op, tensor).
+
+    ``None`` when the op never reads ``tensor``; otherwise one
+    ``(size, terms)`` pair per tensor dimension, where ``terms`` is the
+    tuple of ``(axis, |coeff|)`` for every axis with a non-zero
+    coefficient, or ``None`` for a non-affine dimension.
+    """
+    key = (id(op), id(tensor))
+    entry = _FOOTPRINT_PLANS.get(key)
+    if entry is not None:
+        return entry[0]
+    per_dim = access_coefficients(op, tensor)
+    if per_dim is None:
+        plan = None
+    else:
+        axes = list(op.all_axes)
+        plan = tuple(
+            (size, None if coeffs is None else tuple(
+                (axis, abs(coeff))
+                for axis, coeff in zip(axes, coeffs[:-1])
+                if coeff
+            ))
+            for size, coeffs in zip(tensor.shape, per_dim)
+        )
+    _FOOTPRINT_PLANS.put(key, plan, (op, tensor))
+    return plan
 
 
 def tile_footprint(op: ComputeOp, tensor: Tensor, tile: Dict[IterVar, int]) -> int:
@@ -132,26 +158,18 @@ def tile_footprint(op: ComputeOp, tensor: Tensor, tile: Dict[IterVar, int]) -> i
     the standard affine footprint bound; a non-affine dimension counts in
     full.
     """
-    key = (id(op), id(tensor), tuple((id(a), e) for a, e in tile.items()))
-    entry = _FOOTPRINT_CACHE.get(key)
-    if entry is not None:
-        return entry[0]
-    per_dim = access_coefficients(op, tensor)
-    if per_dim is None:
-        footprint = 0
-    else:
-        axes = list(op.all_axes)
-        footprint = 1
-        for size, coeffs in zip(tensor.shape, per_dim):
-            if coeffs is None:
-                footprint *= size
-                continue
-            reach = 1
-            for axis, coeff in zip(axes, coeffs[:-1]):
-                extent = tile.get(axis, 1)
-                reach += abs(coeff) * (extent - 1)
-            footprint *= min(reach, size)
-    _FOOTPRINT_CACHE.put(key, footprint, (op, tensor, tuple(tile)))
+    plan = footprint_plan(op, tensor)
+    if plan is None:
+        return 0
+    footprint = 1
+    for size, terms in plan:
+        if terms is None:
+            footprint *= size
+            continue
+        reach = 1
+        for axis, weight in terms:
+            reach += weight * (tile.get(axis, 1) - 1)
+        footprint *= min(reach, size)
     return footprint
 
 
@@ -342,11 +360,8 @@ def point_features(space, point) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-#: LRU capacity of the per-space batch-featurization plan cache.
-_BATCH_PLAN_CACHE_CAP = 16
-
-# Maps id(space) -> (plan, space); the space rides along to pin its id.
-_BATCH_PLAN_CACHE: "OrderedDict" = OrderedDict()
+# id(space) -> batch-featurization plan, pinning the space.
+_BATCH_PLAN_CACHE = _PinnedLRU(16)
 
 
 def _exact_log1p(values: np.ndarray) -> np.ndarray:
@@ -527,14 +542,10 @@ def batch_point_features(space, points) -> np.ndarray:
     pinned by ``tests/test_hotpath_parity.py`` across gemm/conv2d spaces
     on every target.
     """
-    key = id(space)
-    cached = _BATCH_PLAN_CACHE.get(key)
-    if cached is not None and cached[1] is space:
-        _BATCH_PLAN_CACHE.move_to_end(key)
-        plan = cached[0]
+    entry = _BATCH_PLAN_CACHE.get(id(space))
+    if entry is not None:
+        plan = entry[0]
     else:
         plan = _BatchFeaturePlan(space)
-        _BATCH_PLAN_CACHE[key] = (plan, space)
-        while len(_BATCH_PLAN_CACHE) > _BATCH_PLAN_CACHE_CAP:
-            _BATCH_PLAN_CACHE.popitem(last=False)
+        _BATCH_PLAN_CACHE.put(id(space), plan, space)
     return plan(points)

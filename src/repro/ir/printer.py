@@ -3,24 +3,19 @@
 from __future__ import annotations
 
 from .expr import (
-    Add,
     And,
     BinaryOp,
     Compare,
     Condition,
     Expr,
     FloatImm,
-    FloorDiv,
     IntImm,
     IterVar,
     Max,
     Min,
-    Mod,
-    Mul,
     Or,
     Reduce,
     Select,
-    Sub,
     TensorRef,
     Var,
 )

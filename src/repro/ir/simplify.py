@@ -19,7 +19,6 @@ from .expr import (
     BinaryOp,
     Div,
     Expr,
-    FloatImm,
     FloorDiv,
     IntImm,
     Max,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Set
+from typing import Iterator, List
 
 from .expr import (
     And,

@@ -18,7 +18,7 @@ import math
 from typing import Dict
 
 from ..analysis.lint import fpga_bram_bytes, fpga_num_pes
-from ..codegen import flops_of, tile_footprint
+from ..codegen import tile_footprint
 from ..schedule import Scheduled
 from .base import INVALID_TIME, PerformanceModel
 from .specs import FpgaSpec

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -509,14 +510,20 @@ class Evaluator:
         try:
             if fault is Fault.COMPILE:
                 raise InjectedCompileError("injected compile failure")
-            with self.profiler.section("lower"):
+            started = perf_counter()
+            try:
                 scheduled = self.lower_point(point)
+            finally:
+                self.profiler.add("lower", perf_counter() - started)
             if fault is Fault.HANG:
                 raise InjectedHang("injected kernel hang")
             if fault is Fault.TRANSIENT:
                 raise InjectedRuntimeError("injected transient device error")
-            with self.profiler.section("model_eval"):
+            started = perf_counter()
+            try:
                 seconds = self.model.estimate_seconds(scheduled)
+            finally:
+                self.profiler.add("model_eval", perf_counter() - started)
         except LoweringError as exc:
             return MeasureStatus.LOWER_ERROR, INVALID_TIME, str(exc)
         except InjectedHang as exc:

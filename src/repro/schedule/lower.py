@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph import MiniGraph, get_graph
-from ..ir import ComputeOp, Expr, IterVar, Var
+from ..ir import ComputeOp, Expr, IterVar, Reduce, Var
 from .config import (
     GraphConfig,
     NodeConfig,
@@ -213,7 +213,9 @@ class LoweredStructure:
     primitives).  Two configs sharing a structural key share one
     ``LoweredStructure``; each gets fresh :class:`LoopDef` objects
     (annotations are mutated in place) while the ``Var`` objects and the
-    (lazy, materialize-once) index map are shared.
+    (lazy, materialize-once) index map are shared.  ``loop_specs`` holds
+    one ``(var, extent, role, annotation)`` tuple per loop, outermost
+    first; :class:`LoopDef` objects exist only per :class:`Scheduled`.
     """
 
     loop_specs: Tuple[Tuple[Var, int, Tuple, str], ...]
@@ -250,11 +252,20 @@ class LoweringMemo:
     there), so the key does not need to repeat them.  Configurations
     that fail to lower are never cached — they re-raise on every
     attempt, exactly like the unmemoized path.
+
+    The memo also owns the per-axis *split recipes*: each
+    ``(kind, axis_index, factors)`` split seen so far, as its loop specs,
+    its index-map chain and its ``split`` primitive.  A structural miss
+    then rebuilds only the axes whose factors are new, and the split
+    ``Var`` objects are shared by every structure using that split.  The
+    table is bounded by the space's split-knob choices; recipe reuse is
+    not counted in ``hits``/``misses``.
     """
 
     def __init__(self, capacity: int = 1024):
         self.capacity = max(1, int(capacity))
         self._entries: "OrderedDict[Tuple, LoweredStructure]" = OrderedDict()
+        self.split_recipes: Dict[Tuple, Tuple] = {}
         self.hits = 0
         self.misses = 0
 
@@ -302,8 +313,6 @@ def lower(
     only in annotation knobs; the result is bit-identical to the
     unmemoized path (pinned by ``tests/test_hotpath_parity.py``).
     """
-    from ..ir import Reduce
-
     graph = output if isinstance(output, MiniGraph) else get_graph(output)
     graph_config = graph_config or GraphConfig()
     main = graph.main_op
@@ -314,13 +323,14 @@ def lower(
         and graph_config.should_inline(op.name)
         and not isinstance(op.body, Reduce)  # reductions cannot be inlined
     )
-    structure = None
-    if memo is not None:
-        structure = memo.get(structural_key(config, target))
-    if structure is None:
-        structure = _structural_lower(main, config, target)
-        if memo is not None:
-            memo.put(structural_key(config, target), structure)
+    if memo is None:
+        structure = _structural_lower(main, config, target, None)
+    else:
+        key = structural_key(config, target)
+        structure = memo.get(key)
+        if structure is None:
+            structure = _structural_lower(main, config, target, memo.split_recipes)
+            memo.put(key, structure)
     scheduled = _annotate(main, structure, config, target)
     scheduled.inlined = inlined
     for op in inlined:
@@ -328,15 +338,21 @@ def lower(
     return scheduled
 
 
-def _structural_lower(op: ComputeOp, config: NodeConfig, target: str) -> LoweredStructure:
-    """Run the expensive half of lowering and freeze it for reuse."""
+def _structural_lower(
+    op: ComputeOp, config: NodeConfig, target: str, recipes: Optional[Dict]
+) -> LoweredStructure:
+    """Run the expensive half of lowering and freeze it for reuse.
+
+    ``recipes`` is a :attr:`LoweringMemo.split_recipes` table, or ``None``
+    to build every split afresh.
+    """
     if target == "gpu":
-        loops, raw, recoveries, primitives, has_inner = _structural_gpu(op, config)
+        loops, raw, recoveries, primitives, has_inner = _structural_gpu(op, config, recipes)
     elif target == "cpu":
-        loops, raw, recoveries, primitives = _structural_cpu(op, config)
+        loops, raw, recoveries, primitives = _structural_cpu(op, config, recipes)
         has_inner = len(loops) > 1
     elif target == "fpga":
-        loops, raw, recoveries, primitives = _structural_fpga(op, config)
+        loops, raw, recoveries, primitives = _structural_fpga(op, config, recipes)
         has_inner = False
     else:
         raise LoweringError(f"unknown target {target!r}; expected one of {TARGETS}")
@@ -344,12 +360,9 @@ def _structural_lower(op: ComputeOp, config: NodeConfig, target: str) -> Lowered
     # lets generated code and interpretation avoid no-op arithmetic) are
     # deferred: the performance models never read the index map, so
     # model-driven tuning skips that cost entirely.
-    index_map = LazyIndexMap(raw, recoveries)
     return LoweredStructure(
-        loop_specs=tuple(
-            (loop.var, loop.extent, loop.role, loop.annotation) for loop in loops
-        ),
-        index_map=index_map,
+        loop_specs=tuple(loops),
+        index_map=LazyIndexMap(raw, recoveries),
         primitives=tuple(primitives),
         has_inner=has_inner,
     )
@@ -463,50 +476,80 @@ def _check_parts(config: NodeConfig, op: ComputeOp, spatial: int, reduce_: int) 
             raise LoweringError(f"expected {reduce_}-part reduce splits, got {factors}")
 
 
-def _split_all(
-    axes: Sequence[IterVar], factor_lists, kind: str, primitives: List[str]
-) -> Tuple[List[List[LoopDef]], Dict[IterVar, Tuple]]:
-    """Split every axis, recording index-map *recipes* instead of exprs.
+def _split_recipe(axis: IterVar, factors: Tuple[int, ...], kind: str, idx: int) -> Tuple:
+    """One axis split: its loop specs, index-map chain and primitive.
 
     Validation and loop construction match :func:`split_axis` exactly;
     the index re-composition expression is deferred to
     :class:`LazyIndexMap` (the models never read it).
     """
-    loops_per_axis: List[List[LoopDef]] = []
+    product = 1
+    for f in factors:
+        product *= f
+    if product != axis.extent:
+        raise ValueError(
+            f"split factors {tuple(factors)} do not multiply to extent "
+            f"{axis.extent} of {axis.name}"
+        )
+    specs = tuple(
+        (Var(f"{axis.name}.{part}"), factor, (kind, idx, part), SERIAL)
+        for part, factor in enumerate(factors)
+    )
+    chain = tuple((var, extent) for var, extent, _, _ in specs)
+    return specs, chain, f"split {axis.name}({axis.extent}) -> {tuple(factors)}"
+
+
+def _split_all(
+    op: ComputeOp, config: NodeConfig, primitives: List[str], recipes: Optional[Dict]
+) -> Tuple[List[Tuple], List[Tuple], Dict[IterVar, Tuple]]:
+    """Split every spatial, then every reduce axis.
+
+    Returns per spatial and per reduce axis its loop specs (outermost
+    first), plus the index-map *recipes* (``axis -> ((var, extent),
+    ...)``).  With a ``recipes`` table, a split already built for the
+    same ``(kind, axis index, factors)`` is reused as is.
+    """
     split_specs: Dict[IterVar, Tuple] = {}
-    for idx, (axis, factors) in enumerate(zip(axes, factor_lists)):
-        product = 1
-        for f in factors:
-            product *= f
-        if product != axis.extent:
-            raise ValueError(
-                f"split factors {tuple(factors)} do not multiply to extent "
-                f"{axis.extent} of {axis.name}"
-            )
-        loops = [
-            LoopDef(Var(f"{axis.name}.{part}"), factor, (kind, idx, part))
-            for part, factor in enumerate(factors)
-        ]
-        loops_per_axis.append(loops)
-        split_specs[axis] = tuple((loop.var, loop.extent) for loop in loops)
-        primitives.append(f"split {axis.name}({axis.extent}) -> {tuple(factors)}")
-    return loops_per_axis, split_specs
+    per_kind: List[List[Tuple]] = []
+    for kind, axes, factor_lists in (
+        ("spatial", op.axes, config.spatial_factors),
+        ("reduce", op.reduce_axes, config.reduce_factors),
+    ):
+        specs_per_axis: List[Tuple] = []
+        for idx, (axis, factors) in enumerate(zip(axes, factor_lists)):
+            if recipes is None:
+                recipe = _split_recipe(axis, factors, kind, idx)
+            else:
+                key = (kind, idx, factors)
+                recipe = recipes.get(key)
+                if recipe is None:
+                    recipe = recipes[key] = _split_recipe(axis, factors, kind, idx)
+            specs, split_specs[axis], primitive = recipe
+            specs_per_axis.append(specs)
+            primitives.append(primitive)
+        per_kind.append(specs_per_axis)
+    return per_kind[0], per_kind[1], split_specs
 
 
-def _fuse_structural(loops: Sequence[LoopDef], name: str) -> Tuple[LoopDef, Tuple]:
+def _fuse_structural(specs: Sequence[Tuple], name: str, annotation: str) -> Tuple[Tuple, Tuple]:
     """Fuse adjacent loops, deferring the div/mod recovery expressions.
 
-    The fused :class:`LoopDef` matches :func:`fuse_loops` exactly; the
-    recovery recipe is handed to :class:`LazyIndexMap`, which builds the
-    same ``(fused // trailing) % extent`` expressions on first read.
+    The fused loop spec matches :func:`fuse_loops` exactly; the recovery
+    recipe is handed to :class:`LazyIndexMap`, which builds the same
+    ``(fused // trailing) % extent`` expressions on first read.
     """
-    if not loops:
+    if not specs:
         raise ValueError("cannot fuse zero loops")
     total = 1
-    for loop in loops:
-        total *= loop.extent
-    fused = LoopDef(Var(name), total, tuple(l.role for l in loops))
-    return fused, (fused.var, tuple((l.var, l.extent) for l in loops))
+    for spec in specs:
+        total *= spec[1]
+    var = Var(name)
+    fused = (var, total, tuple(spec[2] for spec in specs), annotation)
+    return fused, (var, tuple((spec[0], spec[1]) for spec in specs))
+
+
+def _names(specs: Sequence[Tuple]) -> str:
+    return ", ".join(spec[0].name for spec in specs)
 
 
 def _mark_unroll(loops: List[LoopDef], unroll_depth: int) -> None:
@@ -527,10 +570,10 @@ def _mark_unroll(loops: List[LoopDef], unroll_depth: int) -> None:
 
 def _order_inner(
     reorder: int,
-    reduce_outer: List[LoopDef],
-    spatial_inner: List[LoopDef],
-    reduce_inner: List[LoopDef],
-) -> List[LoopDef]:
+    reduce_outer: List,
+    spatial_inner: List,
+    reduce_inner: List,
+) -> List:
     """Arrange the per-thread (or per-core) tile loops per the reorder knob."""
     if reorder == REORDER_REDUCE_INNER:
         return reduce_outer + spatial_inner + reduce_inner
@@ -548,40 +591,29 @@ def _order_inner(
     raise LoweringError(f"unknown reorder choice {reorder}")
 
 
-def _structural_gpu(op: ComputeOp, config: NodeConfig):
+def _structural_gpu(op: ComputeOp, config: NodeConfig, recipes: Optional[Dict]):
     _check_parts(config, op, GPU_SPATIAL_PARTS, GPU_REDUCE_PARTS)
     primitives: List[str] = []
-    spatial_loops, index_map = _split_all(op.axes, config.spatial_factors, "spatial", primitives)
-    reduce_loops, reduce_index = _split_all(op.reduce_axes, config.reduce_factors, "reduce", primitives)
-    index_map.update(reduce_index)
+    spatial, reduce_, index_map = _split_all(op, config, primitives, recipes)
 
-    block_parts = [loops[0] for loops in spatial_loops]
-    vthread_parts = [loops[1] for loops in spatial_loops]
-    thread_parts = [loops[2] for loops in spatial_loops]
-    inner_parts = [loops[3] for loops in spatial_loops]
+    block_parts = [specs[0] for specs in spatial]
+    vthread_parts = [specs[1][:3] + (VTHREAD,) for specs in spatial]
+    thread_parts = [specs[2] for specs in spatial]
+    inner_parts = [specs[3] for specs in spatial]
 
     recoveries = []
-    block_loop, recovery = _fuse_structural(block_parts, f"{op.name}.blockIdx")
-    block_loop.annotation = BLOCK_X
+    block_loop, recovery = _fuse_structural(block_parts, f"{op.name}.blockIdx", BLOCK_X)
     recoveries.append(recovery)
-    primitives.append(
-        "fuse " + ", ".join(l.var.name for l in block_parts) + " -> blockIdx.x"
-    )
+    primitives.append("fuse " + _names(block_parts) + " -> blockIdx.x")
     primitives.append("bind blockIdx.x")
 
-    thread_loop, recovery = _fuse_structural(thread_parts, f"{op.name}.threadIdx")
-    thread_loop.annotation = THREAD_X
+    thread_loop, recovery = _fuse_structural(thread_parts, f"{op.name}.threadIdx", THREAD_X)
     recoveries.append(recovery)
-    primitives.append(
-        "fuse " + ", ".join(l.var.name for l in thread_parts) + " -> threadIdx.x"
-    )
+    primitives.append("fuse " + _names(thread_parts) + " -> threadIdx.x")
     primitives.append("bind threadIdx.x")
 
-    for loop in vthread_parts:
-        loop.annotation = VTHREAD
-
-    reduce_outer = [loops[0] for loops in reduce_loops]
-    reduce_inner = [loops[1] for loops in reduce_loops]
+    reduce_outer = [specs[0] for specs in reduce_]
+    reduce_inner = [specs[1] for specs in reduce_]
     inner = _order_inner(config.reorder, reduce_outer, inner_parts, reduce_inner)
     primitives.append(f"reorder choice {config.reorder}")
 
@@ -589,34 +621,28 @@ def _structural_gpu(op: ComputeOp, config: NodeConfig):
     return loops, index_map, recoveries, primitives, bool(inner)
 
 
-def _structural_cpu(op: ComputeOp, config: NodeConfig):
+def _structural_cpu(op: ComputeOp, config: NodeConfig, recipes: Optional[Dict]):
     _check_parts(config, op, CPU_SPATIAL_PARTS, CPU_REDUCE_PARTS)
     if config.fuse_levels > len(op.axes):
         raise LoweringError(
             f"fuse_levels {config.fuse_levels} exceeds spatial axes {len(op.axes)}"
         )
     primitives: List[str] = []
-    spatial_loops, index_map = _split_all(op.axes, config.spatial_factors, "spatial", primitives)
-    reduce_loops, reduce_index = _split_all(op.reduce_axes, config.reduce_factors, "reduce", primitives)
-    index_map.update(reduce_index)
+    spatial, reduce_, index_map = _split_all(op, config, primitives, recipes)
 
-    outer_parts = [loops[0] for loops in spatial_loops]
-    middle_parts = [loops[1] for loops in spatial_loops]
-    inner_parts = [loops[2] for loops in spatial_loops]
+    outer_parts = [specs[0] for specs in spatial]
+    middle_parts = [specs[1] for specs in spatial]
+    inner_parts = [specs[2] for specs in spatial]
 
-    fused_outer, recovery = _fuse_structural(outer_parts[: config.fuse_levels], f"{op.name}.parallel")
-    fused_outer.annotation = PARALLEL
+    fused_parts = outer_parts[: config.fuse_levels]
+    fused_outer, recovery = _fuse_structural(fused_parts, f"{op.name}.parallel", PARALLEL)
     recoveries = [recovery]
-    primitives.append(
-        "fuse "
-        + ", ".join(l.var.name for l in outer_parts[: config.fuse_levels])
-        + " -> outer"
-    )
+    primitives.append("fuse " + _names(fused_parts) + " -> outer")
     primitives.append("parallel outer")
 
     remaining_outer = outer_parts[config.fuse_levels :]
-    reduce_outer = [loops[0] for loops in reduce_loops]
-    reduce_inner = [loops[1] for loops in reduce_loops]
+    reduce_outer = [specs[0] for specs in reduce_]
+    reduce_inner = [specs[1] for specs in reduce_]
     inner = _order_inner(config.reorder, reduce_outer, inner_parts, reduce_inner)
     primitives.append(f"reorder choice {config.reorder}")
 
@@ -624,22 +650,17 @@ def _structural_cpu(op: ComputeOp, config: NodeConfig):
     return loops, index_map, recoveries, primitives
 
 
-def _structural_fpga(op: ComputeOp, config: NodeConfig):
+def _structural_fpga(op: ComputeOp, config: NodeConfig, recipes: Optional[Dict]):
     _check_parts(config, op, FPGA_SPATIAL_PARTS, 1)
     primitives: List[str] = []
-    spatial_loops, index_map = _split_all(op.axes, config.spatial_factors, "spatial", primitives)
-    reduce_loops, reduce_index = _split_all(
-        op.reduce_axes, config.reduce_factors, "reduce", primitives
-    )
-    index_map.update(reduce_index)
+    spatial, reduce_, index_map = _split_all(op, config, primitives, recipes)
 
-    outer_parts = [loops[0] for loops in spatial_loops]
-    pe_parts = [loops[1] for loops in spatial_loops]
-    pe_loop, recovery = _fuse_structural(pe_parts, f"{op.name}.pe")
-    pe_loop.annotation = PE_PARALLEL
+    outer_parts = [specs[0] for specs in spatial]
+    pe_parts = [specs[1] for specs in spatial]
+    pe_loop, recovery = _fuse_structural(pe_parts, f"{op.name}.pe", PE_PARALLEL)
     recoveries = [recovery]
-    primitives.append("fuse " + ", ".join(l.var.name for l in pe_parts) + " -> PE")
+    primitives.append("fuse " + _names(pe_parts) + " -> PE")
 
-    reduce_flat = [loops[0] for loops in reduce_loops]
+    reduce_flat = [specs[0] for specs in reduce_]
     loops = outer_parts + [pe_loop] + reduce_flat
     return loops, index_map, recoveries, primitives

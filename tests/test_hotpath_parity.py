@@ -7,8 +7,12 @@ Every fast path introduced by the per-point hot-path work must be
   scalar implementation in ``tests/gbt_reference.py``;
 * ``batch_point_features`` against per-point ``point_features``;
 * memoized structural lowering against fresh lowering (index maps,
-  loops, primitives, and the numerics of interpretation and codegen);
-* the four tuners' trajectories with the fast paths on versus off.
+  loops, primitives, and the numerics of interpretation and codegen),
+  including neighbor walks that reuse all but one per-axis split recipe;
+* the memoized footprint plans and CPU gather penalty against the
+  uncached formulas in ``tests/analysis_reference.py``;
+* the four tuners' trajectories with the fast paths on versus off, on
+  every target.
 
 Equality discipline: predictions and features are compared with
 ``np.array_equal`` (exact), fitted states with recursive ``==`` — which
@@ -28,7 +32,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen import batch_point_features, point_features
+from repro.codegen import batch_point_features, point_features, tile_footprint
+from repro.codegen.features import footprint_plan
 from repro.codegen.interp import execute_reference, execute_scheduled, random_inputs
 from repro.codegen.pycodegen import run_generated
 from repro.explore import (
@@ -39,12 +44,18 @@ from repro.explore import (
     SurrogateScreen,
 )
 from repro.learn import GradientBoostedTrees
-from repro.model import V100
-from repro.ops import conv2d_compute, gemm_compute
+from repro.model import V100, VU9P, XEON_E5_2699V4, CpuModel
+from repro.ops import (
+    block_circulant_matmul_compute,
+    conv2d_compute,
+    conv2d_transposed_compute,
+    gemm_compute,
+)
 from repro.runtime import Evaluator
-from repro.schedule import lower
+from repro.schedule import LoweringMemo, lower, validate_schedule
 from repro.space import build_space
 
+from .analysis_reference import reference_gather_penalty, reference_tile_footprint
 from .gbt_reference import ReferenceGradientBoostedTrees
 
 GBT_KWARGS = dict(num_rounds=8, max_depth=3, learning_rate=0.3)
@@ -231,8 +242,6 @@ class TestMemoizedLoweringParity:
         out = WORKLOADS[workload]()
         space = build_space(out, target)
         rng = np.random.default_rng(5)
-        from repro.schedule import LoweringMemo
-
         memo = LoweringMemo()
         for _ in range(10):
             config = space.decode(space.random_point(rng))
@@ -249,8 +258,6 @@ class TestMemoizedLoweringParity:
         out = WORKLOADS["gemm"]()
         space = build_space(out, "gpu")
         rng = np.random.default_rng(11)
-        from repro.schedule import LoweringMemo
-
         memo = LoweringMemo()
         inputs = random_inputs(out, seed=0)
         expected = execute_reference(out, inputs)
@@ -267,7 +274,6 @@ class TestMemoizedLoweringParity:
         space = build_space(out, "gpu")
         rng = np.random.default_rng(13)
         from repro.ir import IntImm
-        from repro.schedule import LoweringMemo
 
         memo = LoweringMemo()
         config = space.decode(space.random_point(rng))
@@ -281,6 +287,150 @@ class TestMemoizedLoweringParity:
         assert str(second.index_map[axis]) == before
 
 
+def lowered_view(scheduled):
+    return (
+        str(dict(scheduled.index_map)),
+        [(l.var.name, l.extent, l.role, l.annotation) for l in scheduled.loops],
+        scheduled.primitives,
+    )
+
+
+class TestNeighborWalkLoweringParity:
+    """Consecutive configs of a neighbor walk differ in one split knob, so
+    each structural miss rebuilds one axis and reuses every other
+    per-axis split recipe (and its ``Var`` objects) from the memo."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("target", ["gpu", "cpu", "fpga"])
+    def test_walk_memoized_equals_fresh(self, workload, target):
+        out = WORKLOADS[workload]()
+        space = build_space(out, target)
+        split_knobs = {
+            ki for ki, knob in enumerate(space.knobs) if knob.name[:2] in ("sp", "re")
+        }
+        rng = np.random.default_rng(19)
+        memo = LoweringMemo()
+        point = space.random_point(rng)
+        inputs = random_inputs(out, seed=1)
+        expected = execute_reference(out, inputs)
+        for step in range(30):
+            config = space.decode(point)
+            memoized = lower(out, config, target, memo=memo)
+            fresh = lower(out, config, target)
+            assert lowered_view(memoized) == lowered_view(fresh)
+            if step % 10 == 0:
+                validate_schedule(memoized)
+                np.testing.assert_allclose(run_generated(memoized, inputs), expected)
+                if workload == "gemm":  # the interpreter is slow on conv2d
+                    np.testing.assert_allclose(
+                        execute_scheduled(memoized, inputs), expected
+                    )
+            moves = [
+                moved for d, moved in space.neighbors(point)
+                if space.directions[d][0] in split_knobs
+            ]
+            point = moves[int(rng.integers(len(moves)))]
+        assert memo.hits + memo.misses == 30
+        # Recipes are per (kind, axis, factors): far fewer than 30 walks
+        # times the number of axes.
+        num_axes = len(out.op.axes) + len(out.op.reduce_axes)
+        assert num_axes <= len(memo.split_recipes) < 30 * num_axes
+
+    def test_structures_share_split_vars(self):
+        out = WORKLOADS["gemm"]()
+        space = build_space(out, "cpu")
+        rng = np.random.default_rng(21)
+        memo = LoweringMemo()
+        point = space.random_point(rng)
+        first = lower(out, space.decode(point), "cpu", memo=memo)
+        reduce_knob = next(
+            ki for ki, knob in enumerate(space.knobs) if knob.name == "re0"
+        )
+        moved = next(
+            p for d, p in space.neighbors(point) if space.directions[d][0] == reduce_knob
+        )
+        second = lower(out, space.decode(moved), "cpu", memo=memo)
+        assert memo.misses == 2
+
+        def split_vars(scheduled, kind):
+            return {l.var for l in scheduled.loops if l.role[0] == kind}
+
+        assert split_vars(first, "spatial") == split_vars(second, "spatial")
+        assert not split_vars(first, "reduce") & split_vars(second, "reduce")
+
+    def test_failed_split_is_not_memoized(self):
+        out = WORKLOADS["gemm"]()
+        space = build_space(out, "cpu")
+        config = space.decode(space.random_point(np.random.default_rng(2)))
+        bad = config.with_(spatial_factors=((1, 1, 1),) + config.spatial_factors[1:])
+        memo = LoweringMemo()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="do not multiply"):
+                lower(out, bad, "cpu", memo=memo)
+        assert not any(key[1] == 0 and key[0] == "spatial" for key in memo.split_recipes)
+        assert memo.stats()["entries"] == 0
+
+
+ORACLE_OPS = {
+    "gemm": lambda: gemm_compute(12, 10, 14, name="og").op,
+    "conv2d": lambda: conv2d_compute(1, 6, 7, 7, 8, 3, padding=1, name="oc").op,
+    "grouped": lambda: conv2d_compute(
+        1, 8, 6, 6, 8, 3, stride=2, padding=1, groups=4, name="ogrp"
+    ).op,
+    "bcm": lambda: block_circulant_matmul_compute(2, 16, 24, 4, name="obcm").op,
+    # Its weight reads carry negative coefficients (W[.., 2 - rx, ..]).
+    "transposed": lambda: conv2d_transposed_compute(
+        1, 4, 5, 5, 4, 3, stride=2, padding=1, name="ot2d"
+    ).op,
+}
+_ORACLE_CACHE = {}
+STRANGER = gemm_compute(3, 3, 3, name="ostranger").op.input_tensors[0]
+
+
+def oracle_op(name):
+    # One op object per name, so repeated examples exercise memo hits.
+    if name not in _ORACLE_CACHE:
+        _ORACLE_CACHE[name] = ORACLE_OPS[name]()
+    return _ORACLE_CACHE[name]
+
+
+class TestAnalysisOracles:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(ORACLE_OPS)), st.data())
+    def test_tile_footprint_matches_reference(self, name, data):
+        op = oracle_op(name)
+        tile = {}
+        for axis in op.all_axes:
+            if data.draw(st.booleans(), label=f"has {axis.name}"):
+                tile[axis] = data.draw(st.integers(1, axis.extent), label=axis.name)
+        for tensor in tuple(op.input_tensors) + (STRANGER,):
+            got = tile_footprint(op, tensor, tile)
+            assert got == reference_tile_footprint(op, tensor, tile)
+            assert type(got) is int
+        assert tile_footprint(op, STRANGER, tile) == 0
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_OPS))
+    def test_non_affine_ops_have_full_dimensions(self, name):
+        op = oracle_op(name)
+        plans = [footprint_plan(op, t) for t in op.input_tensors]
+        non_affine = any(
+            terms is None for plan in plans if plan for _, terms in plan
+        )
+        assert non_affine == (name in ("grouped", "bcm"))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_OPS))
+    def test_gather_penalty_matches_reference(self, name):
+        op = oracle_op(name)
+        model = CpuModel(XEON_E5_2699V4)
+        for axis in op.all_axes:
+            expected = reference_gather_penalty(op, axis)
+            assert model._gather_penalty(op, axis) == expected  # miss
+            assert model._gather_penalty(op, axis) == expected  # hit
+
+
+DEVICES = {"gpu": V100, "cpu": XEON_E5_2699V4, "fpga": VU9P}
+
+
 TUNERS = {
     "q": FlexTensorTuner,
     "p": PMethodTuner,
@@ -289,8 +439,8 @@ TUNERS = {
 }
 
 
-def run_tuner(tuner_cls, fast):
-    ev = Evaluator(WORKLOADS["gemm"](), V100, memoize_lowering=fast)
+def run_tuner(tuner_cls, fast, workload="gemm", device=V100):
+    ev = Evaluator(WORKLOADS[workload](), device, memoize_lowering=fast)
     result = tuner_cls(ev, seed=0).tune(trials=3, num_seeds=3)
     return (
         result.best_performance,
@@ -304,6 +454,20 @@ class TestTunerTrajectoryParity:
     def test_trajectory_unchanged_by_fast_path(self, method):
         assert run_tuner(TUNERS[method], fast=True) == run_tuner(
             TUNERS[method], fast=False
+        )
+
+    # gemm on the GPU is the case pinned by the test above.
+    @pytest.mark.parametrize("method", sorted(TUNERS))
+    @pytest.mark.parametrize("target,workload", [
+        (target, workload)
+        for target in sorted(DEVICES)
+        for workload in sorted(WORKLOADS)
+        if (target, workload) != ("gpu", "gemm")
+    ])
+    def test_trajectory_unchanged_on_every_target(self, method, target, workload):
+        device = DEVICES[target]
+        assert run_tuner(TUNERS[method], True, workload, device) == run_tuner(
+            TUNERS[method], False, workload, device
         )
 
     def test_surrogate_decisions_unchanged_by_batch_features(self):

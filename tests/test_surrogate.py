@@ -1,7 +1,7 @@
 """Surrogate-guided batch screening (ISSUE #4): GBT state roundtrips,
 deterministic screening, bit-identical kill+resume with the surrogate
 attached, surrogate-off trajectory preservation, featurization
-properties, and the bounded coefficient cache."""
+properties, and the bounded analysis caches."""
 
 import json
 
@@ -12,12 +12,15 @@ from repro.codegen import point_features
 from repro.codegen.features import (
     COEFFICIENT_CACHE_CAP,
     _COEFFICIENT_CACHE,
+    _FOOTPRINT_PLANS,
     access_coefficients,
+    footprint_plan,
     read_tensors,
 )
 from repro.explore import FlexTensorTuner, SurrogateScreen, spearman
 from repro.learn import GradientBoostedTrees
-from repro.model import V100
+from repro.model import V100, XEON_E5_2699V4, CpuModel
+from repro.model.cpu import _GATHER_CACHE
 from repro.ops import conv2d_compute, gemm_compute
 from repro.optimize import optimize
 from repro.runtime import BatchEngine, Evaluator
@@ -143,6 +146,35 @@ class TestCoefficientCacheBound:
         tensor = read_tensors(op)[0]
         first = access_coefficients(op, tensor)
         assert access_coefficients(op, tensor) is first
+
+    def test_footprint_plans_never_exceed_cap(self):
+        _FOOTPRINT_PLANS.clear()
+        for i in range(_FOOTPRINT_PLANS.cap + 40):
+            op = gemm_compute(4, 4, 4, name=f"p{i}").op
+            footprint_plan(op, read_tensors(op)[0])
+        assert len(_FOOTPRINT_PLANS) <= _FOOTPRINT_PLANS.cap
+
+    def test_footprint_plan_hit_returns_same_object(self):
+        op = gemm_compute(4, 4, 4, name="phit").op
+        tensor = read_tensors(op)[0]
+        first = footprint_plan(op, tensor)
+        assert footprint_plan(op, tensor) is first
+
+    def test_gather_penalties_never_exceed_cap(self):
+        model = CpuModel(XEON_E5_2699V4)
+        _GATHER_CACHE.clear()
+        for i in range(_GATHER_CACHE.cap + 40):
+            op = gemm_compute(4, 4, 4, name=f"v{i}").op
+            model._gather_penalty(op, op.axes[-1])
+        assert len(_GATHER_CACHE) <= _GATHER_CACHE.cap
+
+    def test_gather_penalty_hit_returns_same_object(self):
+        model = CpuModel(XEON_E5_2699V4)
+        op = gemm_compute(4, 4, 4, name="vhit").op
+        axis = op.reduce_axes[0]
+        first = model._gather_penalty(op, axis)
+        assert _GATHER_CACHE.get((id(op), id(axis))) == (first, (op, axis))
+        assert model._gather_penalty(op, axis) is first
 
 
 class TestScreening:
