@@ -120,22 +120,6 @@ class OptimizeResult:
         return "\n".join(lines)
 
 
-def _materialization_seconds(graph, graph_config: GraphConfig, device_spec) -> float:
-    """Elementwise-pass cost of helper nodes the graph schedule left
-    un-inlined (mirrors the Evaluator's accounting)."""
-    main = graph.main_op
-    bandwidth = getattr(device_spec, "bandwidth_gbs", None)
-    if bandwidth is None:
-        bandwidth = getattr(device_spec, "ddr_bandwidth_gbs")
-    launch = getattr(device_spec, "kernel_launch_us", 5.0) * 1e-6
-    total = 0.0
-    for op in graph.compute_ops:
-        if op is main or graph_config.should_inline(op.name):
-            continue
-        total += op.output.size * 4 * 3 / (bandwidth * 1e9) + launch
-    return total
-
-
 def _schedule_for_graph(
     graph, config: NodeConfig, target: str, base: GraphConfig, evaluator: Evaluator
 ) -> GraphConfig:
@@ -158,7 +142,7 @@ def _schedule_for_graph(
             trial = GraphConfig(inline={**decisions, helper.name: inline})
             scheduled = lower(graph, config, target, trial)
             seconds = evaluator.model.estimate_seconds(scheduled)
-            seconds += _materialization_seconds(graph, trial, evaluator.device_spec)
+            seconds += evaluator._materialization_seconds(trial)
             candidates[inline] = seconds
         decisions[helper.name] = min(candidates, key=candidates.get)
     return GraphConfig(inline=decisions)
@@ -368,7 +352,7 @@ def optimize(
         graph_config = _schedule_for_graph(graph, config, target, graph_config, evaluator)
         scheduled = lower(graph, config, target, graph_config)
         kernel_seconds = evaluator.model.estimate_seconds(scheduled)
-        kernel_seconds += _materialization_seconds(graph, graph_config, device_spec)
+        kernel_seconds += evaluator._materialization_seconds(graph_config)
         gflops = evaluator.flops / kernel_seconds / 1e9
     else:
         config = None

@@ -3,8 +3,8 @@
 A tuning run is hours of simulated (or real) measurements; losing the
 H set, the visited set, and the Q-network to a crash means paying for
 them again.  A checkpoint file holds one JSON snapshot per line, newest
-last; writes go through a temp file + ``os.replace`` so a kill at any
-instant leaves either the old file or the new one, never a torn write.
+last, written by :meth:`JsonlLog.rewrite` so a kill at any instant
+leaves either the old file or the new one, never a torn write.
 Loading walks the lines backwards and returns the newest parseable
 snapshot, so even a checkpoint file truncated by a dying filesystem
 still resumes from the latest intact state.  Snapshots of another
@@ -16,14 +16,19 @@ See ``docs/robustness.md`` for the snapshot schema.
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
+
+from .log import JsonlLog
 
 #: Schema version stamped into every snapshot and required at load.
 #: Version 2: network arrays as base64 float64 bytes, no target network.
 CHECKPOINT_VERSION = 2
+
+
+def _log(path: Union[str, Path]) -> JsonlLog:
+    return JsonlLog(path, "skipping {reason} checkpoint line in {path}")
 
 
 def save_checkpoint(
@@ -32,24 +37,16 @@ def save_checkpoint(
     """Append a snapshot to a JSONL checkpoint file atomically.
 
     The file retains at most ``keep`` snapshots (oldest dropped); the
-    whole file is rewritten to a sibling temp file and renamed over the
-    original, so readers never observe a partial write.
+    older lines are copied raw, without being parsed, and the whole
+    file is rewritten atomically, so readers never observe a partial
+    write.
     """
-    path = Path(path)
+    log = _log(path)
     snapshot = dict(snapshot)
     snapshot.setdefault("version", CHECKPOINT_VERSION)
-    lines: List[str] = []
-    if path.exists():
-        text = path.read_text(errors="replace")
-        lines = [l for l in text.splitlines() if l.strip()]
+    lines = [line for _, line in log.lines()]
     lines.append(json.dumps(snapshot))
-    lines = lines[-max(keep, 1):]
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as f:
-        f.write("\n".join(lines) + "\n")
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    log.rewrite(lines[-max(keep, 1):])
 
 
 def load_checkpoint(path: Union[str, Path]) -> Optional[Dict]:
@@ -59,28 +56,12 @@ def load_checkpoint(path: Union[str, Path]) -> Optional[Dict]:
     filesystem without atomic rename) and snapshots of any other
     :data:`CHECKPOINT_VERSION` are skipped with a warning.
     """
-    path = Path(path)
-    if not path.exists():
-        return None
-    # errors="replace": a disk-level corruption dropping raw bytes into
-    # the file must degrade to a skipped line, not an exception.
-    lines = path.read_text(errors="replace").splitlines()
-    for line in reversed(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            snapshot = json.loads(line)
-        except json.JSONDecodeError:
-            warnings.warn(f"skipping corrupt checkpoint line in {path}")
-            continue
-        if not isinstance(snapshot, dict):
-            warnings.warn(f"skipping non-object checkpoint line in {path}")
-            continue
+    log = _log(path)
+    for _, snapshot in log.objects(newest_first=True):
         if snapshot.get("version") != CHECKPOINT_VERSION:
             warnings.warn(
                 f"skipping version {snapshot.get('version')!r} checkpoint "
-                f"snapshot in {path} (this build reads {CHECKPOINT_VERSION})"
+                f"snapshot in {log.path} (this build reads {CHECKPOINT_VERSION})"
             )
             continue
         return snapshot

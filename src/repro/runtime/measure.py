@@ -206,7 +206,7 @@ class Evaluator:
         self.measure_config = measure_config or MeasureConfig()
         self.fault_injector = fault_injector
         self.flops = flops_of(self.graph.main_op)
-        self._producer_overhead = self._materialization_seconds()
+        self._producer_overhead = self._materialization_seconds(self.graph_config)
         self.cache: Dict[Point, float] = {}
         self.records: List[MeasureResult] = []
         self.clock = 0.0
@@ -652,8 +652,8 @@ class Evaluator:
         failed = sum(1 for r in recent if not r.status.ok)
         return failed / len(recent)
 
-    def _materialization_seconds(self) -> float:
-        """Cost of producer nodes the graph config does *not* inline.
+    def _materialization_seconds(self, graph_config: GraphConfig) -> float:
+        """Cost of producer nodes ``graph_config`` does *not* inline.
 
         An un-inlined padding/expansion node runs as its own elementwise
         kernel: write its output, read it back in the consumer, plus a
@@ -668,7 +668,7 @@ class Evaluator:
         launch = getattr(self.device_spec, "kernel_launch_us", 5.0) * 1e-6
         total = 0.0
         for op in self.graph.compute_ops:
-            if op is main or self.graph_config.should_inline(op.name):
+            if op is main or graph_config.should_inline(op.name):
                 continue
             bytes_moved = op.output.size * 4 * 3  # write + read back + input read
             total += bytes_moved / (bandwidth * 1e9) + launch

@@ -10,15 +10,13 @@ re-searching (the deployment mode TVM calls a "tophub" package).
 from __future__ import annotations
 
 import json
-import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..schedule import NodeConfig
 from ..utils.serialization import config_from_dict, config_to_dict
-from .locking import locked
+from .log import JsonlLog
 
 
 def workload_key(operator: str, params: Dict, device: str) -> str:
@@ -64,8 +62,8 @@ class TuningRecord:
     #: service's read path.  Empty on records written before it existed.
     signature: str = ""
 
-    def to_json(self) -> str:
-        """Serialize the record as one JSONL line."""
+    def to_dict(self) -> Dict:
+        """The record as one JSONL object."""
         payload = {
             "key": self.key,
             "config": config_to_dict(self.config),
@@ -75,12 +73,15 @@ class TuningRecord:
         }
         if self.signature:
             payload["signature"] = self.signature
-        return json.dumps(payload)
+        return payload
+
+    def to_json(self) -> str:
+        """Serialize the record as one JSONL line."""
+        return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, line: str) -> "TuningRecord":
-        """Parse a record from a JSONL line."""
-        payload = json.loads(line)
+    def from_dict(cls, payload: Dict) -> "TuningRecord":
+        """Rebuild a record from its JSONL object."""
         return cls(
             key=payload["key"],
             config=config_from_dict(payload["config"]),
@@ -89,6 +90,11 @@ class TuningRecord:
             seed=payload.get("seed", 0),
             signature=str(payload.get("signature", "")),
         )
+
+    @classmethod
+    def from_json(cls, line: str) -> "TuningRecord":
+        """Parse a record from a JSONL line."""
+        return cls.from_dict(json.loads(line))
 
 
 class RecordBook:
@@ -101,26 +107,20 @@ class RecordBook:
         # (rebuilt on load, maintained on append): the high-QPS lookup
         # path of ``repro.serve`` never scans the JSONL file per query.
         self._best_by_signature: Dict[str, TuningRecord] = {}
-        if self.path and self.path.exists():
-            for record in self._read_all():
-                self._consider(record)
-
-    def _read_all(self) -> Iterator[TuningRecord]:
-        for lineno, line in enumerate(self.path.read_text().splitlines(), 1):
-            line = line.strip()
-            if not line:
+        self._log = (
+            JsonlLog(self.path, "skipping corrupt record at {path}:{lineno}")
+            if self.path else None
+        )
+        for lineno, payload in (self._log.objects() if self._log else ()):
+            if payload.get("type") is not None:
+                continue  # typed side-channel line (e.g. metrics)
+            try:
+                record = TuningRecord.from_dict(payload)
+            except (KeyError, TypeError, ValueError):
+                # A hand-edited record must not take the whole book down.
+                self._log.skip(lineno)
                 continue
-            try:
-                if json.loads(line).get("type") is not None:
-                    continue  # typed side-channel line (e.g. metrics)
-            except json.JSONDecodeError:
-                pass  # fall through to the record parser's warning
-            try:
-                yield TuningRecord.from_json(line)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                # A record file truncated mid-append (killed process) or
-                # hand-edited must not take the whole book down.
-                warnings.warn(f"skipping corrupt record at {self.path}:{lineno}")
+            self._consider(record)
 
     def _consider(self, record: TuningRecord) -> bool:
         improved = False
@@ -137,17 +137,14 @@ class RecordBook:
     # -- public API --------------------------------------------------------
 
     def add(self, record: TuningRecord) -> None:
-        """Append a record (and persist it if a path is configured)."""
+        """Append a record (and persist it if a path is configured).
+
+        The append is durable before ``add()`` returns, so a crash can
+        truncate at most the line being appended, which loading skips.
+        """
         self._consider(record)
-        if self.path:
-            # Single write + flush + fsync: the line is on disk (or not at
-            # all) before add() returns, so a crash can truncate at most
-            # the line being appended — which _read_all then skips.  The
-            # flock serializes concurrent writer processes line-at-a-time.
-            with open(self.path, "a") as f, locked(f):
-                f.write(record.to_json() + "\n")
-                f.flush()
-                os.fsync(f.fileno())
+        if self._log is not None:
+            self._log.append(record.to_dict())
 
     def add_metrics(self, payload: Dict) -> None:
         """Append a throughput/metrics side-channel line.
@@ -155,30 +152,17 @@ class RecordBook:
         Metrics ride in the same JSONL file tagged ``"type": "metrics"``;
         record loading skips typed lines, so old readers are unaffected.
         """
-        if not self.path:
-            return
-        line = json.dumps({"type": "metrics", **payload})
-        with open(self.path, "a") as f, locked(f):
-            f.write(line + "\n")
-            f.flush()
-            os.fsync(f.fileno())
+        if self._log is not None:
+            self._log.append({"type": "metrics", **payload})
 
     def metrics(self) -> List[Dict]:
         """All metrics lines in append order (empty without a path)."""
-        if not self.path or not self.path.exists():
+        if self._log is None:
             return []
-        found = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(payload, dict) and payload.get("type") == "metrics":
-                found.append(payload)
-        return found
+        return [
+            payload for _, payload in self._log.objects()
+            if payload.get("type") == "metrics"
+        ]
 
     def best(self, key: str) -> Optional[TuningRecord]:
         """Best known record for a workload key, or None."""

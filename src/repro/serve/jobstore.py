@@ -1,12 +1,12 @@
 """Crash-safe job store: an append-only JSONL write-ahead log.
 
-Every job state transition is one fsync'd JSONL line appended under the
-``runtime/locking.py`` fcntl lock, so the log is the single source of
-truth for the service: a daemon killed at any instant loses at most the
-line being appended (which replay then skips, exactly like the
-:class:`~repro.runtime.RecordBook` and the EvalCache), and a restarted
-daemon rebuilds every job — including the ones that were mid-flight —
-by replaying the log front to back.
+Every job state transition is one fsync'd line appended through the
+shared :class:`~repro.runtime.log.JsonlLog` (under its fcntl lock), so
+the log is the single source of truth for the service: a daemon killed
+at any instant loses at most the line being appended (which replay then
+skips, exactly like the :class:`~repro.runtime.RecordBook` and the
+EvalCache), and a restarted daemon rebuilds every job — including the
+ones that were mid-flight — by replaying the log front to back.
 
 Each event carries the *full* job record, not a delta, so replay is
 last-event-wins per job and tolerates any prefix of lost lines: the job
@@ -28,14 +28,11 @@ records a transition the machine forbids.
 from __future__ import annotations
 
 import enum
-import json
-import os
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..runtime.locking import locked
+from ..runtime.log import JsonlLog
 
 #: On-disk format version; bump when the event layout changes.
 JOBSTORE_VERSION = 1
@@ -164,11 +161,15 @@ class JobStore:
         self.clock = 0.0                     # newest clock seen in the log
         self.next_seq = 1                    # job-id counter (persistent)
         self._events = 0
+        self._log = JsonlLog(
+            self.store_dir / JOBLOG_FILENAME,
+            "skipping corrupt job event at {path}:{lineno}",
+        )
         self.replay()
 
     @property
     def path(self) -> Path:
-        return self.store_dir / JOBLOG_FILENAME
+        return self._log.path
 
     def checkpoint_path(self, job_id: str) -> Path:
         """The per-job tuner checkpoint file (atomic JSONL, PR 1)."""
@@ -213,7 +214,7 @@ class JobStore:
 
     def note(self, kind: str, clock: float, **payload) -> None:
         """Append a service-level event (drain, shutdown, recover, ...)."""
-        self._append_line({
+        self._log.append({
             "v": JOBSTORE_VERSION, "type": "serve-event", "kind": kind,
             "clock": clock, **payload,
         })
@@ -221,21 +222,11 @@ class JobStore:
 
     def _append_event(self, job: Job, clock: float) -> None:
         self._events += 1
-        self._append_line({
+        self._log.append({
             "v": JOBSTORE_VERSION, "type": "job-event", "event": self._events,
             "clock": clock, "job": job.to_dict(),
         })
         self.clock = max(self.clock, clock)
-
-    def _append_line(self, payload: Dict) -> None:
-        # Single write + flush + fsync under the flock: the event is on
-        # disk whole (or not at all) before the call returns, and writers
-        # from separate daemon processes serialize line-at-a-time.
-        line = json.dumps(payload)
-        with open(self.path, "a") as f, locked(f):
-            f.write(line + "\n")
-            f.flush()
-            os.fsync(f.fileno())
 
     # -- replay ------------------------------------------------------------
 
@@ -250,16 +241,8 @@ class JobStore:
         self.jobs = {}
         self.clock = 0.0
         self._events = 0
-        if not self.path.exists():
-            return self.jobs, self.clock
-        for lineno, line in enumerate(self.path.read_text(errors="replace").splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, payload in self._log.objects():
             try:
-                payload = json.loads(line)
-                if not isinstance(payload, dict):
-                    raise ValueError("non-object line")
                 kind = payload.get("type")
                 if kind == "serve-event":
                     self.clock = max(self.clock, float(payload.get("clock", 0.0)))
@@ -269,8 +252,8 @@ class JobStore:
                 job = Job.from_dict(payload["job"])
                 self.clock = max(self.clock, float(payload.get("clock", 0.0)))
                 self._events = max(self._events, int(payload.get("event", 0)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                warnings.warn(f"skipping corrupt job event at {self.path}:{lineno}")
+            except (KeyError, TypeError, ValueError):
+                self._log.skip(lineno)
                 continue
             # Reassigning an existing key keeps its original dict position,
             # so the table stays in first-seen (submission) order — the

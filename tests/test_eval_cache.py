@@ -51,17 +51,17 @@ class TestAccounting:
         assert cache.get("sig", (1,)) == (2.0, "ok")
         assert cache.path is None
 
-    def test_lru_bound_respects_disk_index(self, tmp_path):
-        cache = EvalCache(tmp_path, max_memory_entries=2)
-        for i in range(5):
-            cache.put("sig", (i,), float(i), "ok")
-        assert len(cache._memory) == 2
-        # Evicted entries still resolve through the durable index.
-        assert cache.get("sig", (0,)) == (0.0, "ok")
-        assert cache.disk_hits == 1
-        reloaded = EvalCache(tmp_path, max_memory_entries=2)
-        assert reloaded.get("sig", (0,)) == (0.0, "ok")
-        assert reloaded.disk_hits == 1
+    def test_every_stored_entry_served_in_process_and_after_reload(self, tmp_path):
+        cache = EvalCache(tmp_path)
+        entries = {("sig", (i,)): (float(i), "ok") for i in range(5000)}
+        for (sig, point), (perf, status) in entries.items():
+            cache.put(sig, point, perf, status)
+        reloaded = EvalCache(tmp_path)
+        for served in (cache, reloaded):
+            assert len(served) == len(entries)
+            for (sig, point), value in entries.items():
+                assert served.get(sig, point) == value
+            assert served.misses == 0
 
 
 class TestDiskRoundTrip:
@@ -190,6 +190,30 @@ class TestCorruptionTolerance:
             reloaded = EvalCache(tmp_path)
         assert len(reloaded) == 0
 
+    def test_non_utf8_line_skipped_not_fatal(self, tmp_path):
+        cache = EvalCache(tmp_path)
+        cache.put("sig", (1, 2), 5.0, "ok")
+        cache.put("sig", (3, 4), 7.0, "compile_error")
+        lines = cache.path.read_bytes().splitlines(keepends=True)
+        cache.path.write_bytes(lines[0] + b"\xff\xfe\x80 garbage\n" + lines[1])
+        with pytest.warns(UserWarning, match="corrupt cache entry"):
+            reloaded = EvalCache(tmp_path)
+        assert reloaded.get("sig", (1, 2)) == (5.0, "ok")
+        assert reloaded.get("sig", (3, 4)) == (7.0, "compile_error")
+        assert len(reloaded) == 2
+
+    def test_non_object_line_skipped_not_fatal(self, tmp_path):
+        cache = EvalCache(tmp_path)
+        cache.put("sig", (1, 2), 5.0, "ok")
+        cache.put("sig", (3, 4), 7.0, "ok")
+        lines = cache.path.read_text().splitlines(keepends=True)
+        cache.path.write_text(lines[0] + "[1, 2]\n" + lines[1])
+        with pytest.warns(UserWarning, match="corrupt cache entry"):
+            reloaded = EvalCache(tmp_path)
+        assert reloaded.get("sig", (1, 2)) == (5.0, "ok")
+        assert reloaded.get("sig", (3, 4)) == (7.0, "ok")
+        assert len(reloaded) == 2
+
     def test_empty_directory_is_fine(self, tmp_path):
         assert len(EvalCache(tmp_path / "fresh")) == 0
         assert (tmp_path / "fresh").is_dir()
@@ -241,7 +265,7 @@ def _append_cache_entries(directory, process_tag, count):
 def _append_locked_pairs(path, process_tag, count):
     # Two separate write() calls inside one lock hold: without the
     # advisory flock these could interleave with another process's pair.
-    from repro.runtime.locking import locked
+    from repro.runtime.log import locked
 
     for i in range(count):
         with open(path, "a") as f, locked(f):

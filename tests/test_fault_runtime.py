@@ -289,6 +289,37 @@ class TestRecordBookHardening:
         assert len(book) == 1
         assert book.best("k1").gflops == 5.0
 
+    @staticmethod
+    def two_records():
+        config = NodeConfig(spatial_factors=((1,),), reduce_factors=())
+        first = TuningRecord(key="k1", gflops=5.0, config=config)
+        second = TuningRecord(key="k2", gflops=3.0, config=config, signature="s2")
+        return first, second
+
+    def test_non_utf8_line_skipped_with_warning(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        first, second = self.two_records()
+        path.write_bytes(
+            first.to_json().encode() + b"\n"
+            + b"\xff\xfe\x80 garbage\n"
+            + second.to_json().encode() + b"\n"
+        )
+        with pytest.warns(UserWarning, match="corrupt record"):
+            book = RecordBook(path)
+        assert len(book) == 2
+        assert book.best("k1").gflops == 5.0
+        assert book.best_for_signature("s2").key == "k2"
+
+    def test_non_object_line_skipped_with_warning(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        first, second = self.two_records()
+        path.write_text(first.to_json() + "\n[1, 2]\n" + second.to_json() + "\n")
+        with pytest.warns(UserWarning, match="corrupt record"):
+            book = RecordBook(path)
+        assert len(book) == 2
+        assert book.best("k1").gflops == 5.0
+        assert book.best_for_signature("s2").key == "k2"
+
     def test_append_is_durable_line(self, tmp_path):
         path = tmp_path / "records.jsonl"
         book = RecordBook(path)
