@@ -1,8 +1,9 @@
-"""Network-level scheduler benchmark: uniform vs allocated (ISSUE #9).
+"""Network-level scheduler benchmark: uniform vs allocated.
 
 Not a pytest test — run it directly after a change to the scheduler:
 
     PYTHONPATH=src python benchmarks/bench_network.py
+    PYTHONPATH=src python benchmarks/bench_network.py --ablate
 
 For YOLO-v1 and OverFeat (batch 1, V100, simulated) it tunes the whole
 network twice from a cold store:
@@ -12,9 +13,9 @@ network twice from a cold store:
   ``optimize_network`` behavior), and
 * **allocated** — the network-level task scheduler
   (:mod:`repro.nn.tuner`): layers deduped by operator signature,
-  gain-ranked trial slices with an ε floor, early stopping on plateaus,
-  and multi-start restarts reinvesting the saved budget into the
-  heavy-with-headroom tasks.
+  weight-ranked trial slices with an ε floor, early stopping on
+  plateaus, and multi-start restarts reinvesting the saved budget into
+  the heavy-with-headroom tasks.
 
 Acceptance criteria (per network, recorded as booleans):
 
@@ -27,7 +28,17 @@ Results land in ``BENCH_network.json`` at the repo root.  ``--quick``
 runs OverFeat only (the adversarial case: no duplicate signatures, so
 nothing is saved by dedup alone) at the same budget and criteria,
 writes ``BENCH_network_quick.json`` instead, and exits nonzero if any
-criterion is false — the CI perf-smoke mode.
+criterion is false — the CI perf-smoke mode.  Its criteria are
+simulated latencies and measurement counts, so they do not depend on
+the host.
+
+``--ablate`` measures what each knob-backed scheduler element buys: on
+YOLO-v1, OverFeat and MobileNet-v1 (the repository benchmark's
+``net-tune`` network, built from ``perfbench/workloads.py``) it runs the
+allocated arm once per element switched off (``ABLATIONS``) and writes
+the latency ratio and measurement savings against uniform per arm to
+``BENCH_network_ablation.json``.  It records numbers only; no criterion
+gates on them.
 """
 
 import argparse
@@ -41,7 +52,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.model import V100                              # noqa: E402
-from repro.nn import overfeat, tune_network, yolo_v1      # noqa: E402
+from repro.nn import (                                    # noqa: E402
+    LayerSpec,
+    Network,
+    overfeat,
+    tune_network,
+    yolo_v1,
+)
+from repro.ops.workloads import Workload                  # noqa: E402
 
 TRIALS = 50
 SEED = 0
@@ -53,13 +71,31 @@ SCHEDULER = dict(
     max_restarts=1,
     restart_trials=12,
 )
+# Each knob-backed scheduler element and the setting that switches it
+# off (``--ablate``).
+ABLATIONS = {
+    "floor": {"starve_rounds": 10**9},
+    "patience": {"patience": 10**9},
+    "cap_boost": {"cap_boost": 1.0},
+    "restarts": {"max_restarts": 0},
+    "topup": {"topup_frac": 0},
+}
 
 
-def run_pair(network, trials, scheduler_kwargs):
-    """Tune one network both ways from a cold shared store."""
-    uniform = tune_network(
-        network, V100, trials=trials, seed=SEED, allocate=False,
-    )
+def mobilenet_v1():
+    """MobileNet-v1 as the repository benchmark's ``net-tune`` workload
+    defines it (27 layers, multiplicity 1 each)."""
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    from workloads import mobilenet_layers
+
+    return Network("MobileNet-v1", [
+        LayerSpec(Workload(layer["operator"], layer["name"], layer["params"]))
+        for layer in mobilenet_layers()
+    ])
+
+
+def tune_allocated(network, trials, scheduler_kwargs):
+    """The allocated arm from a cold shared store, and its wall time."""
     with tempfile.TemporaryDirectory() as store:
         start = time.perf_counter()
         allocated = tune_network(
@@ -68,11 +104,29 @@ def run_pair(network, trials, scheduler_kwargs):
             eval_cache=Path(store) / "evalcache",
             **scheduler_kwargs,
         )
-        allocated_wall = time.perf_counter() - start
+        return allocated, time.perf_counter() - start
+
+
+def versus_uniform(allocated, uniform):
+    """(latency ratio, measurement savings) of an allocated run."""
+    ratio = (
+        allocated.total_seconds / uniform.total_seconds
+        if uniform.total_seconds else float("inf")
+    )
     savings = (
         1.0 - allocated.total_measurements / uniform.total_measurements
         if uniform.total_measurements else 0.0
     )
+    return ratio, savings
+
+
+def run_pair(network, trials, scheduler_kwargs):
+    """Tune one network both ways from a cold shared store."""
+    uniform = tune_network(
+        network, V100, trials=trials, seed=SEED, allocate=False,
+    )
+    allocated, allocated_wall = tune_allocated(network, trials, scheduler_kwargs)
+    ratio, savings = versus_uniform(allocated, uniform)
     return {
         "layers": network.num_layers,
         "distinct_tasks": len(allocated.tasks),
@@ -110,11 +164,54 @@ def run_pair(network, trials, scheduler_kwargs):
             ],
         },
         "measurement_savings": savings,
-        "latency_ratio": (
-            allocated.total_seconds / uniform.total_seconds
-            if uniform.total_seconds else float("inf")
-        ),
+        "latency_ratio": ratio,
     }
+
+
+def ablate() -> int:
+    """Allocated arm with each scheduler element switched off in turn."""
+    payload = {
+        "benchmark": "bench_network --ablate",
+        "trials": TRIALS,
+        "seed": SEED,
+        "scheduler": SCHEDULER,
+        "ablations": ABLATIONS,
+        "networks": {},
+    }
+    arms = {"full": {}, **{f"no_{name}": knobs for name, knobs in ABLATIONS.items()}}
+    for network in (yolo_v1(), overfeat(), mobilenet_v1()):
+        print(f"== {network.name} ==")
+        uniform = tune_network(network, V100, trials=TRIALS, seed=SEED, allocate=False)
+        entry = {
+            "uniform": {
+                "total_ms": uniform.total_seconds * 1e3,
+                "total_measurements": uniform.total_measurements,
+            },
+            "arms": {},
+        }
+        print(
+            f"  {'uniform':<12}: {uniform.total_seconds * 1e3:8.4f} ms, "
+            f"{uniform.total_measurements:6d} measurements"
+        )
+        for arm, knobs in arms.items():
+            allocated, _ = tune_allocated(network, TRIALS, {**SCHEDULER, **knobs})
+            ratio, savings = versus_uniform(allocated, uniform)
+            entry["arms"][arm] = {
+                "total_ms": allocated.total_seconds * 1e3,
+                "total_measurements": allocated.total_measurements,
+                "latency_ratio": ratio,
+                "measurement_savings": savings,
+            }
+            print(
+                f"  {arm:<12}: {allocated.total_seconds * 1e3:8.4f} ms, "
+                f"{allocated.total_measurements:6d} measurements "
+                f"(latency x{ratio:.4f}, {savings:.1%} saved)"
+            )
+        payload["networks"][network.name] = entry
+    out = REPO_ROOT / "BENCH_network_ablation.json"
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {out}")
+    return 0
 
 
 def main(quick: bool = False) -> int:
@@ -182,4 +279,10 @@ if __name__ == "__main__":
         help="OverFeat only (same budget and criteria); exit nonzero on "
         "any false criterion",
     )
-    sys.exit(main(quick=parser.parse_args().quick))
+    parser.add_argument(
+        "--ablate", action="store_true",
+        help="switch each scheduler element off in turn on YOLO-v1, "
+        "OverFeat and MobileNet-v1; write BENCH_network_ablation.json",
+    )
+    args = parser.parse_args()
+    sys.exit(ablate() if args.ablate else main(quick=args.quick))

@@ -5,10 +5,10 @@ Not a pytest test — run it directly after a change to the runtime:
     PYTHONPATH=src python benchmarks/bench_throughput.py
 
 For gemm and conv2d it tunes the same workload twice — serial
-(``workers=1``, the bit-exact pre-engine path) and pooled
-(``workers=4``) — and reports points per *simulated* second (the
-measurement-clock quantity Figures 6d/7 account in) plus points per
-wall second.  A third pass runs a cold/warm pair against a persistent
+(``workers=1``, the bit-exact pre-engine path) and batched
+(``workers=4``, recorded under the ``pooled`` key) — and reports
+points per *simulated* second (the measurement-clock quantity Figures
+6d/7 account in) plus points per wall second.  A third pass runs a cold/warm pair against a persistent
 ``EvalCache`` directory to measure the warm-start hit rate.
 
 A fourth pass benchmarks surrogate screening (ISSUE #4): the same
@@ -20,7 +20,7 @@ fraction of the candidates.
 Results land in ``BENCH_throughput.json`` at the repo root, including
 the acceptance booleans:
 
-* pooled (4 workers) achieves >= 3x points/simulated-second over
+* batched (4 workers) achieves >= 3x points/simulated-second over
   serial on gemm,
 * the warm second run is served at >= 50% cache hit rate,
 * with screening on, gemm and conv2d reach >= the screening-off best
@@ -36,13 +36,11 @@ the acceptance booleans:
   tensorized best schedule whose modeled GFLOPS strictly beats the same
   search with the knob off.
 
-Each section reports the *actual* engine mode — ``serial``,
-``fork-pool``, or ``in-process-fallback``.  On a single-core host the
-engine transparently computes outcomes in-process while still billing
-the 4-worker makespan, so the simulated numbers are identical to what a
-real fork pool produces (the engine's determinism contract); wall
-numbers then mostly reflect interpreter overhead and are reported for
-context only.
+Each section reports the engine mode it ran — ``serial`` for
+``workers=1``, ``batched`` otherwise.  The batched engine computes
+outcomes in-process and bills the 4-worker makespan on the simulated
+clock, so its simulated numbers do not depend on the host; its wall
+numbers are reported for context only.
 
 ``--quick`` runs only the screening section (the hot-path criteria),
 writes ``BENCH_throughput_quick.json`` instead of the full file, and
@@ -140,8 +138,7 @@ def run_tune(make_output, workers, cache_dir=None, trials=TRIALS,
 
 def trimmed(stats):
     keys = (
-        "workers", "engine_mode", "pool", "pool_mode", "pool_batches",
-        "points_submitted", "points_measured",
+        "workers", "engine_mode", "points_submitted", "points_measured",
         "points_cached", "points_deduped", "points_screened",
         "simulated_seconds", "points_per_simulated_second",
         "points_per_wall_second", "pool_utilization", "cache_hit_rate",

@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tune-network: which §6.6 network to tune")
     parser.add_argument("--uniform", action="store_true",
                         help="tune-network: flat identical per-layer budgets "
-                             "instead of the gain-driven task scheduler")
+                             "instead of the network task scheduler")
     parser.add_argument("--sample", type=int, default=400,
                         help="lint only: random points sampled per schedule "
                              "space")

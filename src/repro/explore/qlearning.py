@@ -19,6 +19,12 @@ import numpy as np
 from ..space import Point, ScheduleSpace
 from .network import MLP
 
+#: Discount α on the bootstrapped term of the DQN target.
+ALPHA = 0.8
+
+#: Hidden-layer width of the Q-network.
+HIDDEN = 64
+
 
 @dataclass
 class Transition:
@@ -36,22 +42,19 @@ class QAgent:
     def __init__(
         self,
         space: ScheduleSpace,
-        alpha: float = 0.8,
         epsilon: float = 0.5,
         epsilon_decay: float = 0.96,
         epsilon_min: float = 0.05,
-        hidden: int = 64,
         train_period: int = 5,
         seed: int = 0,
     ):
         self.space = space
-        self.alpha = alpha          # discount on the bootstrapped term
         self.epsilon = epsilon      # exploration rate (decays per trial)
         self.epsilon_decay = epsilon_decay
         self.epsilon_min = epsilon_min
         self.train_period = train_period
-        self.network = MLP(space.feature_size, space.num_directions, hidden, seed=seed)
-        self.target_network = MLP(space.feature_size, space.num_directions, hidden, seed=seed)
+        self.network = MLP(space.feature_size, space.num_directions, HIDDEN, seed=seed)
+        self.target_network = MLP(space.feature_size, space.num_directions, HIDDEN, seed=seed)
         self.target_network.copy_from(self.network)
         self.transitions: List[Transition] = []
         self.losses: List[float] = []
@@ -162,7 +165,7 @@ class QAgent:
         directions = np.array([t.direction for t in batch])
         rewards = np.array([t.reward for t in batch])
         targets = current_q.copy()
-        targets[rows, directions] = rewards + self.alpha * next_q.max(axis=1)
+        targets[rows, directions] = rewards + ALPHA * next_q.max(axis=1)
         mask = np.zeros_like(targets)
         mask[rows, directions] = 1.0
         loss = self.network.train_batch(features, targets, mask)

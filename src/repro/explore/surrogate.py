@@ -20,7 +20,7 @@ is reproducible and checkpoint/resume roundtrips through
 
 The full measure pipeline with every stage enabled is::
 
-    lint gate -> cache probe -> surrogate screen -> (fork pool) measure
+    lint gate -> cache probe -> surrogate screen -> measure
 
 See ``docs/surrogate.md``.
 """
@@ -42,6 +42,15 @@ from ..space import Point
 #: "near-zero" price of a screened point (a GBT forward pass, ~10^4x
 #: cheaper than compiling and running a kernel).
 INFERENCE_SECONDS = 1e-4
+
+#: Base refit cadence: the model is refit once this many new observations
+#: have accumulated since the last fit, with a geometric backoff past the
+#: warm-up of ``12 * REFIT_EVERY`` observations (:meth:`_maybe_refit`).
+REFIT_EVERY = 4
+
+#: Size of the rolling score window that screens batches too small to
+#: rank internally (serial tuners submit one candidate at a time).
+SCORE_WINDOW = 64
 
 
 @dataclass
@@ -114,28 +123,12 @@ class SurrogateScreen:
         min_train: observations required before ranking starts; until
             then every candidate is forwarded (the random warm-up that
             gives the model unbiased coverage).
-        refit_every: base refit cadence.  The model is refit once this
-            many new observations have accumulated since the last fit,
-            with a deterministic backoff once the training set outgrows
-            the warm-up (``12 * refit_every`` observations): the gap
-            required becomes ``max(refit_every, (fitted_at - warmup) //
-            4)``, growing geometrically with the training set so total
-            refit cost stays O(n) instead of O(n²) over a long run while
-            the early search keeps a fresh model.  A pure function of
-            checkpointed fields (observation count and ``fitted_at``),
-            so seeded runs and kill+resume are bit-identical.
-        train_window: training-window policy.  0 (the default) refits on
-            the full history; a positive value refits on only the most
-            recent ``train_window`` observations — a deterministic slice
-            by observation order, so checkpointed resumes still fit on
-            exactly the same rows.  Screening dedup and counters always
-            see the full history either way.
         seed: seed of the private ε-draw RNG.
-        inference_seconds: simulated cost billed per ranked candidate.
-        window: size of the rolling score window used to screen batches
-            too small to rank internally (serial tuners submit one
-            candidate at a time): a lone candidate is forwarded iff its
-            score reaches the window's top ``screen_ratio`` quantile.
+
+    Each ranked candidate bills :data:`INFERENCE_SECONDS`; the model
+    refits on the full observation history at the :data:`REFIT_EVERY`
+    cadence; a lone candidate is forwarded iff its score reaches the top
+    ``screen_ratio`` quantile of the last :data:`SCORE_WINDOW` scores.
     """
 
     def __init__(
@@ -144,11 +137,7 @@ class SurrogateScreen:
         screen_ratio: float = 0.25,
         epsilon: float = 0.15,
         min_train: int = 12,
-        refit_every: int = 4,
         seed: int = 0,
-        inference_seconds: float = INFERENCE_SECONDS,
-        window: int = 64,
-        train_window: int = 0,
     ):
         if not 0.0 < screen_ratio <= 1.0:
             raise ValueError(f"screen_ratio must be in (0, 1], got {screen_ratio}")
@@ -156,10 +145,6 @@ class SurrogateScreen:
         self.screen_ratio = screen_ratio
         self.epsilon = epsilon
         self.min_train = max(2, int(min_train))
-        self.refit_every = max(1, int(refit_every))
-        self.inference_seconds = inference_seconds
-        self.window = max(8, int(window))
-        self.train_window = max(0, int(train_window))
         self._recent_scores: List[float] = []
         self.model = GradientBoostedTrees()
         self._rng = np.random.default_rng(seed)
@@ -244,36 +229,31 @@ class SurrogateScreen:
         """Deterministic geometric refit backoff.
 
         The first fit happens at ``min_train``; past the warm-up
-        (``12 * refit_every`` observations) the gap between refits grows
+        (``12 * REFIT_EVERY`` observations) the gap between refits grows
         as ``(fitted_at - warmup) // 4``.  Each fit is O(current n), and
         because the gaps grow geometrically the total over a run is O(n)
         fits-worth of work instead of the O(n²) a fixed cadence costs —
-        while inside the warm-up the cadence is exactly the legacy
-        ``refit_every``, keeping the early search's model fresh.  Pure
+        while inside the warm-up the cadence is exactly
+        ``REFIT_EVERY``, keeping the early search's model fresh.  Pure
         function of checkpointed fields — kill+resume refits at the same
         counts."""
         count = len(self._ys)
         if count < self.min_train:
             return
-        warmup = 12 * self.refit_every
-        gap = max(self.refit_every, (self._fitted_at - warmup) // 4)
+        warmup = 12 * REFIT_EVERY
+        gap = max(REFIT_EVERY, (self._fitted_at - warmup) // 4)
         if self.model.is_fitted and count - self._fitted_at < gap:
             return
         self.refit()
 
     def refit(self) -> None:
-        """Refit the GBT on the training window (log1p target —
-        performance spans orders of magnitude and failures sit at 0).
-        ``train_window == 0`` means full history; otherwise the most
-        recent ``train_window`` observations, by observation order."""
+        """Refit the GBT on the full history (log1p target — performance
+        spans orders of magnitude and failures sit at 0)."""
         if not self._ys:
             return
         with self._section("surrogate_fit"):
-            start = 0
-            if self.train_window and len(self._ys) > self.train_window:
-                start = len(self._ys) - self.train_window
-            x = np.stack(self._xs[start:])
-            y = np.log1p(np.asarray(self._ys[start:], dtype=np.float64))
+            x = np.stack(self._xs)
+            y = np.log1p(np.asarray(self._ys, dtype=np.float64))
             self.model.fit(x, y)
         self._fitted_at = len(self._ys)
         self.num_refits += 1
@@ -312,7 +292,7 @@ class SurrogateScreen:
         if n == 1:
             decision = self._screen_single(float(scores[0]))
             self._recent_scores.append(float(scores[0]))
-            del self._recent_scores[: -self.window]
+            del self._recent_scores[: -SCORE_WINDOW]
             return decision
         keep = max(1, math.ceil(self.screen_ratio * n))
         order = sorted(range(n), key=lambda i: (-scores[i], i))
@@ -329,12 +309,12 @@ class SurrogateScreen:
         self.num_forwarded += len(forward)
         self.num_screened += len(screened)
         self._recent_scores.extend(float(s) for s in scores)
-        del self._recent_scores[: -self.window]
+        del self._recent_scores[: -SCORE_WINDOW]
         return ScreenDecision(
             forward=forward,
             screened=screened,
             scores={i: float(scores[i]) for i in range(n)},
-            cost_seconds=self.inference_seconds * n,
+            cost_seconds=INFERENCE_SECONDS * n,
             ranked=True,
         )
 
@@ -363,7 +343,7 @@ class SurrogateScreen:
             forward=forward,
             screened=screened,
             scores={0: score},
-            cost_seconds=self.inference_seconds,
+            cost_seconds=INFERENCE_SECONDS,
             ranked=True,
         )
 
@@ -434,10 +414,6 @@ class SurrogateScreen:
             "screen_ratio": self.screen_ratio,
             "epsilon": self.epsilon,
             "min_train": self.min_train,
-            "refit_every": self.refit_every,
-            "inference_seconds": self.inference_seconds,
-            "window": self.window,
-            "train_window": self.train_window,
             "recent_scores": list(self._recent_scores),
             "observations": [
                 [list(p), self._ys[i]] for p, i in self._seen.items()
@@ -460,14 +436,13 @@ class SurrogateScreen:
         }
 
     def set_state(self, state: Dict) -> None:
-        """Restore a snapshot produced by :meth:`get_state`."""
+        """Restore a snapshot produced by :meth:`get_state`.  Keys of
+        since-removed options (``refit_every``, ``inference_seconds``,
+        ``window``, ``train_window``) in older snapshots are ignored:
+        they only ever held today's constants."""
         self.screen_ratio = state["screen_ratio"]
         self.epsilon = state["epsilon"]
         self.min_train = state["min_train"]
-        self.refit_every = state["refit_every"]
-        self.inference_seconds = state["inference_seconds"]
-        self.window = state["window"]
-        self.train_window = state.get("train_window", 0)
         self._recent_scores = list(state["recent_scores"])
         self._xs = []
         self._ys = []

@@ -33,6 +33,11 @@ from ..space import Point, heuristic_seed_points
 from .qlearning import QAgent, normalized_reward
 from .sa import select_starting_points
 
+#: Recent-error-rate above which the tuner assumes the neighborhood is
+#: poisoned (quarantined / failing points) and degrades: shorter walks
+#: plus a fresh SA restart to escape the region.
+DEGRADE_THRESHOLD = 0.5
+
 
 @dataclass
 class TuneResult:
@@ -85,7 +90,6 @@ class BaseTuner:
         num_starting_points: int = 4,
         seed: int = 0,
         seed_points: Optional[List[Point]] = None,
-        degrade_threshold: float = 0.5,
         engine: Optional[BatchEngine] = None,
     ):
         self.evaluator = evaluator
@@ -96,10 +100,6 @@ class BaseTuner:
         self.evaluated: Dict[Point, float] = {}
         self.visited: Set[Point] = set()
         self.seed_points: List[Point] = list(seed_points or [])
-        # Above this recent-error-rate the tuner assumes the neighborhood
-        # is poisoned (quarantined / failing points) and degrades: shorter
-        # walks plus a fresh SA restart to escape the region.
-        self.degrade_threshold = degrade_threshold
         # Batched evaluation engine (repro.runtime.parallel).  ``None``
         # and ``workers=1`` both take the exact serial evaluation path;
         # ``workers>1`` switches the tuners to their batched trial shapes.
@@ -152,7 +152,7 @@ class BaseTuner:
 
     def _degraded(self) -> bool:
         """Whether the measurement pipeline reports a poisoned region."""
-        return self.evaluator.recent_error_rate() >= self.degrade_threshold
+        return self.evaluator.recent_error_rate() >= DEGRADE_THRESHOLD
 
     def _result(self) -> TuneResult:
         best_point, best_perf = self.evaluator.best()
@@ -320,24 +320,17 @@ class FlexTensorTuner(BaseTuner):
         gamma: float = 2.0,
         num_starting_points: int = 4,
         steps: int = 4,
-        epsilon: float = 0.5,
         train_period: int = 5,
         seed: int = 0,
         seed_points: Optional[List[Point]] = None,
-        degrade_threshold: float = 0.5,
         engine: Optional[BatchEngine] = None,
     ):
         super().__init__(
             evaluator, gamma, num_starting_points, seed, seed_points,
-            degrade_threshold=degrade_threshold, engine=engine,
+            engine=engine,
         )
         self.steps = steps
-        self.agent = QAgent(
-            self.space,
-            epsilon=epsilon,
-            train_period=train_period,
-            seed=seed,
-        )
+        self.agent = QAgent(self.space, train_period=train_period, seed=seed)
 
     def _run_trial(self, trial: int) -> None:
         if self.parallel:

@@ -1,4 +1,4 @@
-"""Network-level task scheduler: signature dedup + gain-driven trials.
+"""Network-level task scheduler: signature dedup + budget-reallocating trials.
 
 ``optimize_network`` used to hand every layer an identical, independent
 trial budget — wasteful twice over: structurally identical layers were
@@ -15,20 +15,18 @@ problem in the style of MetaSchedule/Ansor:
    covers, so a task's importance is its contribution to end-to-end
    network time.
 
-2. **Gain-driven allocation** — tuning proceeds in rounds of short trial
-   slices (``optimize(checkpoint=..., resume=True)``, snapshotted once
-   at the slice's end — sliced tuning is bit-identical to one-shot, the
-   tuning service's contract).
-   Every round re-ranks the runnable tasks by *predicted end-to-end
-   latency gain*: the observed improvement of the task's network-time
-   contribution per trial over its recent slices.  Cold tasks (no trials
-   yet) rank first, heaviest first; an ε floor forces any task that has
-   not been served for ``starve_rounds`` rounds into the next round, so
-   low-gain tasks are never starved.  Tasks whose improvement curve has
-   been flat for ``patience`` consecutive slices stop early — that is
-   where the measurement savings come from — while high-gain tasks may
-   run past the uniform per-layer budget (up to ``cap_boost`` times it)
-   within the same *global* budget uniform allocation would have spent.
+2. **Allocation** — tuning proceeds in rounds of short trial slices
+   (``optimize(checkpoint=..., resume=True)``, snapshotted once at the
+   slice's end — sliced tuning is bit-identical to one-shot, the tuning
+   service's contract).  Every round ranks the runnable tasks: an ε
+   floor first forces any task that has not been served for
+   ``starve_rounds`` rounds into the round, then cold tasks (no trials
+   yet) and warm tasks follow, each heaviest first.  Tasks whose
+   improvement curve has been flat for ``patience`` consecutive slices
+   stop early — that is where the measurement savings come from — and
+   the top-up phase reinvests the saved trials, letting a task run past
+   the uniform per-layer budget (up to ``cap_boost`` times it) within
+   the same *global* budget uniform allocation would have spent.
 
 3. **Sharing** — all tasks share one :class:`~repro.runtime.EvalCache`
    and one :class:`~repro.runtime.RecordBook`.  Every improving slice is
@@ -83,6 +81,10 @@ SERVE_OPERATORS = {"C2D": "conv2d", "GMM": "gemm", "GMV": "gemv"}
 NETWORK_CHECKPOINT = "network.ckpt"
 
 _SCHEDULER_NAME = "network-scheduler"
+
+#: A slice that moves a task's network-time contribution by at most this
+#: fraction of its value is stale (``patience`` stale slices converge it).
+STALE_REL = 1e-3
 
 
 class NetworkKilled(BaseException):
@@ -139,8 +141,6 @@ class TuneTask:
     measurements_base: int = 0     # measurements from completed earlier runs
     seconds_base: float = 0.0      # exploration clock from earlier runs
 
-    # -- gain model ---------------------------------------------------------
-
     def latency(self, kernel_seconds: Optional[float] = None) -> float:
         """This task's contribution to end-to-end network time (epilogues
         excluded — they are schedule-independent constants)."""
@@ -148,21 +148,6 @@ class TuneTask:
         if not math.isfinite(seconds):
             return float("inf")
         return seconds * self.multiplicity
-
-    def gain_rate(self, window: int = 1) -> float:
-        """Observed end-to-end seconds gained per trial over the last
-        ``window`` slices — the marginal-gain estimate the allocator
-        ranks by.  ``inf`` while the curve is too short to estimate
-        (an unknown task is worth exploring)."""
-        samples = [s for s in self.curve if math.isfinite(s[1])]
-        if len(samples) < 2:
-            return float("inf")
-        recent = samples[-(window + 1):]
-        trials = recent[-1][0] - recent[0][0]
-        if trials <= 0:
-            return 0.0
-        gained = (recent[0][1] - recent[-1][1]) * self.multiplicity
-        return max(0.0, gained) / trials
 
     # -- checkpointing ------------------------------------------------------
 
@@ -321,7 +306,7 @@ def _shape_distance(a: Dict[str, int], b: Dict[str, int]) -> Optional[float]:
 
 
 class NetworkTaskScheduler:
-    """Round-based gain-driven trial allocator over deduped layer tasks.
+    """Round-based trial allocator over deduped layer tasks.
 
     Instantiated (and driven) through :func:`tune_network`; split out as
     a class so tests can exercise the pure planning function
@@ -340,9 +325,6 @@ class NetworkTaskScheduler:
         round_slots: Optional[int] = None,
         starve_rounds: int = 4,
         patience: int = 2,
-        min_trials: Optional[int] = None,
-        gain_window: int = 1,
-        stale_rel: float = 1e-3,
         cap_boost: float = 2.0,
         budget_frac: float = 1.0,
         topup_frac: float = 0.25,
@@ -365,11 +347,8 @@ class NetworkTaskScheduler:
         self.slice_trials = max(1, int(slice_trials))
         self.starve_rounds = max(1, int(starve_rounds))
         self.patience = max(1, int(patience))
-        self.min_trials = (
-            2 * self.slice_trials if min_trials is None else max(1, int(min_trials))
-        )
-        self.gain_window = max(1, int(gain_window))
-        self.stale_rel = float(stale_rel)
+        # No task converges before it has run two slices.
+        self.min_trials = 2 * self.slice_trials
         self.max_restarts = max(0, int(max_restarts))
         # A restart pays a fixed re-seeding overhead before its fresh
         # trajectory can overtake the merged best; a runway shorter than
@@ -442,7 +421,7 @@ class NetworkTaskScheduler:
             1, int(round(float(budget_frac) * self.trials * len(network.layers)))
         )
         self.budget_left = self.trials_budget
-        # Trials held back from the gain loop for the headroom-ranked
+        # Trials held back from the main loop for the headroom-ranked
         # top-up phase, so convergence stops can never starve it.
         self.topup_reserve = int(round(
             max(0.0, min(1.0, float(topup_frac))) * self.trials_budget
@@ -520,8 +499,10 @@ class NetworkTaskScheduler:
             return False
         self.phase = str(snapshot.get("phase", "main"))
         self.round_index = int(snapshot["round"])
+        # Older snapshots name the warm group "gain" (its former ranking).
         self.plan = (
-            [(int(i), str(reason)) for i, reason in snapshot["plan"]]
+            [(int(i), "warm" if reason == "gain" else str(reason))
+             for i, reason in snapshot["plan"]]
             if snapshot.get("has_plan") else None
         )
         self.plan_done = int(snapshot["plan_done"])
@@ -539,8 +520,8 @@ class NetworkTaskScheduler:
 
         A pure function of the task states (no RNG): starved tasks first
         (the ε floor — any runnable task unserved for ``starve_rounds``
-        rounds), then cold tasks heaviest-first, then warm tasks by
-        marginal gain with a deterministic (weight, index) tie-break.
+        rounds), then cold tasks, then warm tasks, each heaviest-first
+        with a deterministic index tie-break.
         """
         runnable = [t for t in tasks if not t.done]
         starved = [
@@ -552,12 +533,10 @@ class NetworkTaskScheduler:
         cold = [t for t in runnable if t.trials_done == 0]
         cold.sort(key=lambda t: (-t.weight_flops, t.index))
         warm = [t for t in runnable if t.trials_done > 0]
-        warm.sort(
-            key=lambda t: (-t.gain_rate(self.gain_window), -t.weight_flops, t.index)
-        )
+        warm.sort(key=lambda t: (-t.weight_flops, t.index))
         plan: List[Tuple[int, str]] = []
         chosen = set()
-        for group, reason in ((starved, "floor"), (cold, "cold"), (warm, "gain")):
+        for group, reason in ((starved, "floor"), (cold, "cold"), (warm, "warm")):
             for task in group:
                 if len(plan) >= self.round_slots:
                     return plan
@@ -682,7 +661,7 @@ class NetworkTaskScheduler:
         )
         task.curve.append((task.trials_done, task.kernel_seconds))
         # Convergence: a slice that moved this task's network-time
-        # contribution by less than ``stale_rel`` of its value is stale;
+        # contribution by less than ``STALE_REL`` of its value is stale;
         # ``patience`` consecutive stale slices end the task.
         improvement = previous_latency - task.latency()
         if not math.isfinite(task.latency()):
@@ -691,7 +670,7 @@ class NetworkTaskScheduler:
             # First valid schedule: latency went inf -> finite, the
             # largest possible improvement — never a stale slice.
             task.stale_slices = 0
-        elif improvement <= self.stale_rel * task.latency():
+        elif improvement <= STALE_REL * task.latency():
             task.stale_slices += 1
         else:
             task.stale_slices = 0
@@ -749,8 +728,8 @@ class NetworkTaskScheduler:
         self._save()
 
     def _main_loop(self) -> None:
-        """Phase A: gain-driven rounds until the runnable set or the
-        budget runs dry."""
+        """Phase A: planned rounds until the runnable set or the budget
+        runs dry."""
         while True:
             if self.plan is None:
                 if (
@@ -1055,8 +1034,8 @@ def tune_network(
         trials: the per-layer budget anchor.  The global budget is
             ``trials x len(network.layers)`` — exactly what uniform
             allocation spends — and the scheduler redistributes it:
-            converged tasks stop early, high-gain tasks may run up to
-            ``cap_boost x trials`` (default 2x).
+            converged tasks stop early, and the top-up phase may run a
+            task up to ``cap_boost x trials`` (default 2x).
         method: any :func:`repro.optimize.optimize` method.
         fuse: fuse elementwise epilogues into their producing kernels.
         seed: RNG seed — the whole run, allocation decisions included,
@@ -1086,8 +1065,7 @@ def tune_network(
     if not allocate:
         # Scheduler-only knobs make no sense on the flat path.
         for knob in ("slice_trials", "round_slots", "starve_rounds", "patience",
-                     "min_trials", "gain_window", "stale_rel", "cap_boost",
-                     "budget_frac", "topup_frac", "max_restarts",
+                     "cap_boost", "budget_frac", "topup_frac", "max_restarts",
                      "restart_trials"):
             scheduler_kwargs.pop(knob, None)
         return _tune_uniform(

@@ -35,7 +35,7 @@ from ..runtime import (
     NodeFaultInjector,
 )
 from ..schedule import GraphConfig, NodeConfig, Scheduled, lower
-from ..space import ScheduleSpace, build_space
+from ..space import build_space
 
 _TUNERS = {
     "q": FlexTensorTuner,
@@ -178,10 +178,7 @@ def optimize(
     method: str = "q",
     num_seeds: int = 4,
     num_starting_points: int = 4,
-    gamma: float = 2.0,
     seed: int = 0,
-    graph_config: Optional[GraphConfig] = None,
-    space: Optional[ScheduleSpace] = None,
     warm_start: Optional[NodeConfig] = None,
     measure_config: Optional[MeasureConfig] = None,
     fault_injector: Optional[FaultInjector] = None,
@@ -210,11 +207,7 @@ def optimize(
         method: "q" (FlexTensor), "p", "random-walk" or "random-sample".
         num_seeds: heuristic + random seed points evaluated up front.
         num_starting_points: SA starting points per trial.
-        gamma: SA temperature of the starting-point distribution.
         seed: RNG seed (the whole run is deterministic given it).
-        graph_config: graph-level decisions; defaults to inlining helper
-            nodes (Algorithm 1 line 8).
-        space: pre-built schedule space (rebuilt from analysis otherwise).
         warm_start: a previously tuned configuration (e.g. from a
             :class:`~repro.runtime.RecordBook`) evaluated before searching.
         measure_config: timeout / retry / quarantine policy of the
@@ -228,8 +221,8 @@ def optimize(
             continue the interrupted run from its trial index.
         workers: candidate evaluations per batch.  1 (default) keeps the
             bit-reproducible serial path; >1 overlaps simulated
-            measurement time across that many workers (and uses a real
-            process pool on multi-core hosts) — ``docs/parallel.md``.
+            measurement time across that many virtual workers —
+            ``docs/parallel.md``.
         cache_dir: directory of a persistent cross-run evaluation cache;
             warm runs serve previously measured (canonical) points for
             free.  ``None`` (default) disables persistence.
@@ -287,11 +280,12 @@ def optimize(
     # Front-end: static analysis + schedule space (pruned + rearranged).
     analysis = analyze(graph)
     target = target_of(device_spec)
-    space = space or build_space(
+    space = build_space(
         graph, target, spec=device_spec if prune_space else None,
         tensorize=tensorize,
     )
-    graph_config = graph_config or GraphConfig()
+    # Algorithm 1 line 8 starts from inlining every helper node.
+    graph_config = GraphConfig()
 
     # Back-end: exploration over the space.
     linter = ScheduleLinter(space.op, target, device_spec) if lint else None
@@ -328,22 +322,18 @@ def optimize(
     )
     tuner = tuner_cls(
         evaluator,
-        gamma=gamma,
         num_starting_points=num_starting_points,
         seed=seed,
         seed_points=seed_points,
         engine=engine,
     )
-    try:
-        tuning = tuner.tune(
-            trials,
-            num_seeds=num_seeds,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
-        )
-    finally:
-        engine.close()
+    tuning = tuner.tune(
+        trials,
+        num_seeds=num_seeds,
+        checkpoint=checkpoint,
+        checkpoint_every=checkpoint_every,
+        resume=resume,
+    )
 
     # Schedule implementation for the chosen point (Algorithm 1, line 8:
     # Schedule_for_graph — decide the graph-level inline placements).

@@ -5,8 +5,8 @@ FlexTensor's evaluation (§6) distributes measurement across machines
 builder/runner fleet for the same reason: on a real cluster workers
 hang, crash, straggle and flake, and an unsupervised fan-out either
 stalls the whole batch or silently eats measurement budget.  This
-module adds that supervision layer between the tuners and the fork
-pool — against *simulated* hardware, so node failures must be simulated
+module adds that supervision layer between the tuners and the batch
+engine's workers — against *simulated* hardware, so node failures must be simulated
 too (:class:`~repro.runtime.fault.NodeFaultInjector`) and the whole
 layer is testable as a pure function of the seed.
 
@@ -591,23 +591,3 @@ class ClusterSupervisor:
             "speculate": self.config.speculate,
             **{name: getattr(self, name) for name in _COUNTERS},
         }
-
-    def report(self) -> str:
-        """Human-readable one-paragraph supervision summary."""
-        s = self.stats()
-        lines = [
-            f"cluster: {s['alive']}/{s['workers']} workers alive "
-            f"({s['open']} open, {s['probing']} probing), "
-            f"health={['%.2f' % h for h in s['health']]}",
-            f"leases: {s['num_leases']} granted, {s['num_reassigned']} reassigned "
-            f"({s['num_crashes']} crashes, {s['num_stale']} stale, "
-            f"{s['num_expired']} expired, {s['num_flaky_drops']} flaky drops, "
-            f"{s['num_forced']} forced)",
-            f"speculation: {s['num_speculative']} launched, "
-            f"{s['num_speculative_wins']} won (p{s['straggler_pct']:g} threshold)",
-            f"breakers: {s['num_breaker_trips']} trips, {s['num_reopened']} "
-            f"re-opened, {s['num_probes_passed']} probes passed; "
-            f"{s['num_degraded_batches']} batches degraded serial, "
-            f"{s['num_serial_drained']} jobs serially drained",
-        ]
-        return "\n".join(lines)

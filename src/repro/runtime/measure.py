@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 from ..codegen import flops_of
 from ..graph import MiniGraph, get_graph
 from ..ir import format_operation
-from ..model import INVALID_TIME, PerformanceModel, model_for, target_of
+from ..model import INVALID_TIME, model_for, target_of
 from ..schedule import GraphConfig, LoweringError, LoweringMemo, Scheduled, lower
 from .profile import HotPathProfiler
 from ..space import Point, ScheduleSpace, build_space
@@ -189,11 +189,9 @@ class Evaluator:
         device_spec,
         space: Optional[ScheduleSpace] = None,
         graph_config: Optional[GraphConfig] = None,
-        model: Optional[PerformanceModel] = None,
         measure_config: Optional[MeasureConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
         eval_cache: Optional[EvalCache] = None,
-        canonicalize: bool = True,
         linter: Optional["ScheduleLinter"] = None,
         memoize_lowering: bool = True,
     ):
@@ -202,7 +200,7 @@ class Evaluator:
         self.target = target_of(device_spec)
         self.space = space or build_space(self.graph, self.target)
         self.graph_config = graph_config or GraphConfig()
-        self.model = model or model_for(device_spec)
+        self.model = model_for(device_spec)
         self.measure_config = measure_config or MeasureConfig()
         self.fault_injector = fault_injector
         self.flops = flops_of(self.graph.main_op)
@@ -224,7 +222,6 @@ class Evaluator:
         # measurement.  The memo above stays keyed by *raw* points (so
         # records, quarantine and resume are untouched); the index below
         # maps each canonical key to the first measured representative.
-        self.canonicalize = canonicalize
         self.eval_cache = eval_cache
         self._canon_index: Dict[Point, Point] = {}
         self._canon_memo: Dict[Point, Point] = {}
@@ -364,9 +361,7 @@ class Evaluator:
         return performance
 
     def canonical_key(self, point: Point) -> Point:
-        """Canonical representative of a point (identity when disabled)."""
-        if not self.canonicalize:
-            return point
+        """Canonical representative of a point."""
         canon = self._canon_memo.get(point)
         if canon is None:
             canon = self.space.canonical_point(point)
@@ -391,7 +386,7 @@ class Evaluator:
         return self._op_signature
 
     def _retry_loop(self, next_attempt, on_retry=None):
-        """The one retry policy shared by the serial and pooled paths.
+        """The one retry policy shared by the serial and batched paths.
 
         ``next_attempt(attempts)`` runs attempt number ``attempts``
         (1-based) and returns ``(status, seconds, error)``; a transient
@@ -417,7 +412,7 @@ class Evaluator:
         """Simulated seconds one failed-then-retried attempt bills: the
         compile cost of the wasted attempt plus exponential backoff.
         Single source of truth for serial billing (:meth:`measure`) and
-        pooled billing (:meth:`outcome_cost`)."""
+        batched billing (:meth:`outcome_cost`)."""
         return (
             self.model.measurement_seconds(0.0)
             + self.measure_config.backoff_seconds * (2 ** retry_index)
@@ -436,11 +431,11 @@ class Evaluator:
         )
         return self._finish(point, status, seconds, attempts, error)
 
-    # -- pool-safe measurement halves (repro.runtime.parallel) -------------
+    # -- split measurement halves (repro.runtime.parallel) -----------------
 
     def remote_outcome(self, point: Point, base_attempt: int = 0) -> Dict:
         """The *pure* half of :meth:`measure`: run the retry loop and
-        return a picklable outcome dict, mutating no evaluator state.
+        return a plain outcome dict, mutating no evaluator state.
 
         ``base_attempt`` is the point's lifetime attempt count at
         submission time, so fault-injector rolls are identical to the
@@ -499,7 +494,7 @@ class Evaluator:
         """One measurement attempt at an explicit lifetime attempt index.
 
         Pure with respect to *simulated* state: touches no counters, no
-        clock, no records — safe to run inside a forked worker process.
+        clock, no records — so batch outcomes are order-independent.
         (The lowering memo and wall-time profiler are touched, but both
         are pure accelerations/diagnostics with no effect on results.)
         """

@@ -4,8 +4,9 @@ FlexTensor's exploration is embarrassingly parallel per trial — SA
 proposes a batch of starting points and the agent scores whole
 neighborhoods — so the engine accepts a *list* of candidate points,
 serves what it can from the caches, deduplicates the rest by canonical
-key, and measures the remainder concurrently (§5.2 runs candidates on
-parallel devices; AutoTVM batches its builder/runner the same way).
+key, and bills the remainder as concurrent measurements (§5.2 runs
+candidates on parallel devices; AutoTVM batches its builder/runner the
+same way).
 
 Two execution modes share one billing model:
 
@@ -13,25 +14,21 @@ Two execution modes share one billing model:
   literally looping the serial :meth:`Evaluator.evaluate`, so seeded
   tests, fault injection and checkpoint/resume stay bit-identical to the
   pre-engine code path.
-* ``workers>1`` — measurement is split into a pure worker half
-  (:meth:`Evaluator.remote_outcome`, safe to run in a forked pool) and a
-  parent billing half (:meth:`Evaluator.apply_remote`).  Real execution
-  uses a ``multiprocessing`` fork pool when the host has more than one
-  core; otherwise outcomes are computed in-process.  Either way the
-  *simulated* clock advances by the batch makespan: job costs are
+* ``workers>1`` — measurement is split into a pure outcome half
+  (:meth:`Evaluator.remote_outcome`) and a billing half
+  (:meth:`Evaluator.apply_remote`).  Outcomes are computed in-process;
+  the *simulated* clock advances by the batch makespan: job costs are
   assigned to the least-loaded of W virtual workers in submission order
   (LPT-style list scheduling), so W workers genuinely overlap simulated
   measurement time — the quantity Figures 6d/7 account in.
 
 Determinism contract: for a fixed evaluator configuration and submission
-order, results, records, clock values and caches are identical whether
-outcomes were computed by a real pool or in-process — the billing half
-never depends on real scheduling order.
+order, results, records, clock values and caches are a pure function of
+the batch — the billing half never depends on real scheduling order.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -41,19 +38,6 @@ from .measure import Evaluator
 if TYPE_CHECKING:
     from ..explore.surrogate import SurrogateScreen
     from .cluster import ClusterSupervisor
-
-#: Fork-inherited evaluator used by pool workers (set by the initializer).
-_WORKER_EVALUATOR: Optional[Evaluator] = None
-
-
-def _pool_init(evaluator: Evaluator) -> None:
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = evaluator
-
-
-def _pool_measure(job: Tuple[Tuple[int, ...], int]) -> Dict:
-    point, base_attempt = job
-    return _WORKER_EVALUATOR.remote_outcome(tuple(point), base_attempt)
 
 
 class BatchEngine:
@@ -70,7 +54,6 @@ class BatchEngine:
         self,
         evaluator: Evaluator,
         workers: int = 1,
-        use_pool: Optional[bool] = None,
         surrogate: Optional["SurrogateScreen"] = None,
         cluster: Optional["ClusterSupervisor"] = None,
     ):
@@ -81,13 +64,6 @@ class BatchEngine:
             # different cluster than the one being supervised.
             workers = cluster.config.workers
         self.workers = max(1, int(workers))
-        if use_pool is None:
-            use_pool = (
-                self.workers > 1
-                and (os.cpu_count() or 1) > 1
-                and hasattr(os, "fork")
-            )
-        self.use_pool = bool(use_pool) and self.workers > 1
         # Surrogate screen (repro.explore.surrogate): when attached, each
         # batch is ranked after the lint gate and cache probe, and only
         # the top fraction (plus the ε exploration slice) is measured.
@@ -101,7 +77,6 @@ class BatchEngine:
         # speculation scheduler instead of plain LPT, and an all-open
         # breaker registry degrades the batch to the serial path.
         self.cluster = cluster
-        self._pool = None
         self.num_batches = 0
         self.num_submitted = 0
         self.num_measured = 0
@@ -109,37 +84,9 @@ class BatchEngine:
         self.num_deduped = 0
         self.num_lint_rejected = 0
         self.num_screened = 0      # candidates answered by the surrogate
-        self.num_pool_batches = 0  # batches whose outcomes a fork pool computed
         self.busy_seconds = 0.0    # simulated seconds of worker occupancy
         self.span_seconds = 0.0    # simulated makespan summed over batches
         self.wall_seconds = 0.0    # real time spent inside evaluate_batch
-
-    # -- pool lifecycle ----------------------------------------------------
-
-    def _get_pool(self):
-        if self._pool is None:
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-            self._pool = context.Pool(
-                processes=self.workers,
-                initializer=_pool_init,
-                initargs=(self.evaluator,),
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Tear down the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "BatchEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- evaluation --------------------------------------------------------
 
@@ -201,7 +148,7 @@ class BatchEngine:
         Screened-out candidates are answered with the surrogate's
         predicted performance and billed only the model-inference cost
         (near-zero, like a lint reject); the forwarded slice runs through
-        the usual serial or pooled measurement path.  Every fresh
+        the usual serial or batched measurement path.  Every fresh
         measurement is fed back into the surrogate's training set, and
         the screen's ranking is scored against the real results.
         """
@@ -265,8 +212,8 @@ class BatchEngine:
     def _evaluate_parallel(self, points: Sequence[Point]) -> List[float]:
         ev = self.evaluator
         results: List[Optional[float]] = [None] * len(points)
-        # 1. Lint first (a statically-illegal point must never reach the
-        #    pool — it is rejected at zero simulated cost), then serve
+        # 1. Lint first (a statically-illegal point is never measured —
+        #    it is rejected at zero simulated cost), then serve
         #    cache/quarantine hits for free, then dedup the rest by
         #    canonical key so one measurement covers every equivalent
         #    submission in the batch.
@@ -295,21 +242,7 @@ class BatchEngine:
         if not jobs:
             return [r for r in results]  # everything was cached
         # 2. Compute outcomes — pure, order-independent.
-        if self.use_pool:
-            try:
-                pool = self._get_pool()
-                outcomes = pool.map(
-                    _pool_measure, [(list(p), base) for p, base, _ in jobs]
-                )
-                self.num_pool_batches += 1
-            except Exception:
-                # A broken pool must never kill the tuning run: fall back
-                # to in-process outcomes (identical results by contract).
-                self.close()
-                self.use_pool = False
-                outcomes = [ev.remote_outcome(p, base) for p, base, _ in jobs]
-        else:
-            outcomes = [ev.remote_outcome(p, base) for p, base, _ in jobs]
+        outcomes = [ev.remote_outcome(p, base) for p, base, _ in jobs]
         # 3. Bill simulated time.  With a cluster supervisor attached the
         #    batch runs through its lease/heartbeat/speculation scheduler
         #    (node faults perturb timing and worker health, never the
@@ -362,21 +295,9 @@ class BatchEngine:
         utilization = (
             self.busy_seconds / (simulated * self.workers) if simulated else 0.0
         )
-        if not self.use_pool:
-            engine_mode = "serial"
-        elif self.num_pool_batches > 0:
-            engine_mode = "fork-pool"
-        else:
-            engine_mode = "in-process-fallback"
         payload = {
             "workers": self.workers,
-            # Whether a fork pool actually computed outcomes this run —
-            # not the configured mode, which the in-process fallback can
-            # silently override (single-core host, broken pool).
-            "pool": self.num_pool_batches > 0,
-            "pool_mode": self.use_pool,
-            "engine_mode": engine_mode,
-            "pool_batches": self.num_pool_batches,
+            "engine_mode": "serial" if self.workers == 1 else "batched",
             "batches": self.num_batches,
             "points_submitted": self.num_submitted,
             "points_measured": self.num_measured,
@@ -413,55 +334,3 @@ class BatchEngine:
         if self.cluster is not None:
             payload["cluster"] = self.cluster.stats()
         return payload
-
-    def report(self) -> str:
-        """Human-readable one-paragraph throughput summary."""
-        s = self.stats()
-        lines = [
-            f"throughput: {s['points_submitted']} points in "
-            f"{s['simulated_seconds']:.3f} simulated s "
-            f"({s['points_per_simulated_second']:.1f} pts/s simulated, "
-            f"{s['points_per_wall_second']:.1f} pts/s wall)",
-            f"engine: mode={s['engine_mode']} workers={s['workers']} "
-            f"pool={'on' if s['pool'] else 'off'} "
-            f"utilization={s['pool_utilization']:.0%}",
-            f"cache: hit_rate={s['cache_hit_rate']:.0%} "
-            f"(memo={s['memo_hits']} canon={s['canon_hits']} "
-            f"disk={s['disk_hits']} quarantine={s['quarantine_hits']}) "
-            f"deduped={s['points_deduped']}",
-        ]
-        if s["lint_rejects"]:
-            rules = " ".join(
-                f"{rule}={count}" for rule, count in sorted(s["lint_rules"].items())
-            )
-            lines.append(
-                f"lint: {s['lint_rejects']} points statically rejected "
-                f"at zero cost ({rules})"
-            )
-        if "eval_cache" in s:
-            ec = s["eval_cache"]
-            lines.append(
-                f"persistent: entries={ec['entries']} stores={ec['stores']} "
-                f"hit_rate={ec['hit_rate']:.0%}"
-            )
-        if "surrogate" in s:
-            su = s["surrogate"]
-            lines.append(
-                f"surrogate: {su['screened']} points screened out at near-zero "
-                f"cost ({su['forwarded']} forwarded, {su['explored']} via "
-                f"ε-exploration, {su['refits']} refits, rank correlation "
-                f"{su['rank_correlation']:.2f})"
-            )
-        if "lowering" in s and (s["lowering"]["hits"] or s["lowering"]["misses"]):
-            lo = s["lowering"]
-            lines.append(
-                f"lowering memo: hit_rate={lo['hit_rate']:.0%} "
-                f"({lo['hits']} hits / {lo['misses']} misses, "
-                f"{lo['entries']} structures)"
-            )
-        profile_line = self.evaluator.profiler.report()
-        if "(no instrumented calls)" not in profile_line:
-            lines.append(profile_line)
-        if self.cluster is not None:
-            lines.append(self.cluster.report())
-        return "\n".join(lines)

@@ -6,7 +6,7 @@ stage (lowering, featurization, surrogate fit/predict, model evaluation)
 looked identical to noise.  :class:`HotPathProfiler` is a near-zero-cost
 accumulator of cumulative wall seconds and call counts per stage, wired
 through the evaluator and the surrogate screen and surfaced in
-``TuneResult.throughput["profile"]``, :meth:`BatchEngine.report` and
+``TuneResult.throughput["profile"]`` and
 ``benchmarks/bench_throughput.py`` output.
 
 Wall seconds only — the *simulated* clock is owned by the evaluator and
@@ -41,7 +41,7 @@ class HotPathProfiler:
     @contextmanager
     def section(self, name: str):
         """Time one entry of stage ``name`` (unknown names are allowed —
-        they simply add a new row to the report)."""
+        they simply add a new row to :meth:`stats`)."""
         started = time.perf_counter()
         try:
             yield
@@ -51,13 +51,9 @@ class HotPathProfiler:
             self.calls[name] = self.calls.get(name, 0) + 1
 
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Fold in externally measured time (e.g. from a worker)."""
+        """Fold in externally measured time."""
         self.seconds[name] = self.seconds.get(name, 0.0) + seconds
         self.calls[name] = self.calls.get(name, 0) + calls
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds.values())
 
     def stats(self) -> Dict:
         """JSON-compatible per-stage summary for TuneResult / the bench."""
@@ -65,16 +61,3 @@ class HotPathProfiler:
             name: {"seconds": self.seconds[name], "calls": self.calls[name]}
             for name in self.seconds
         }
-
-    def report(self) -> str:
-        """One human-readable line, stages in declaration order."""
-        parts = []
-        for name in self.seconds:
-            if not self.calls[name]:
-                continue
-            parts.append(
-                f"{name}={self.seconds[name]:.3f}s/{self.calls[name]}"
-            )
-        if not parts:
-            return "hot path: (no instrumented calls)"
-        return "hot path: " + " ".join(parts)

@@ -1,9 +1,8 @@
 """Shared test configuration.
 
-Tests that exercise a real ``multiprocessing`` pool are marked ``slow``;
-on a single-core runner a fork pool buys nothing and only adds flaky
-start-up latency, so tier-1 ``pytest -x -q`` skips them there
-automatically.  Run them explicitly with ``pytest -m slow`` on a
+Tests that spawn real processes (concurrent store writers) are marked
+``slow``; on a single-core runner they only add flaky start-up latency,
+so tier-1 ``pytest -x -q`` skips them there automatically.  Run them explicitly with ``pytest -m slow`` on a
 multi-core machine.
 """
 

@@ -192,6 +192,52 @@ class TestOptimizeWiring:
         )
 
 
+class TestLegacySnapshotKeys:
+    """Snapshots still carrying keys that older builds wrote — the
+    surrogate's since-fixed options and the network planner's "gain"
+    reason — resume to the same result as an uninterrupted run."""
+
+    def test_surrogate_option_keys_are_ignored(self, tmp_path):
+        path = tmp_path / "screened.ckpt"
+        out = smoke_output()
+        options = dict(seed=5, surrogate=True)
+        full = optimize(out, V100, trials=10, **options)
+        assert full.tuning.num_screened > 0
+        optimize(out, V100, trials=6, checkpoint=path, **options)
+        snapshot = load_checkpoint(path)
+        surrogate = snapshot["state"]["surrogate"]
+        assert surrogate["num_refits"] > 0
+        legacy = dict(
+            refit_every=4, inference_seconds=1e-4, window=64, train_window=0
+        )
+        assert not set(legacy) & set(surrogate)
+        surrogate.update(legacy)
+        save_checkpoint(path, snapshot)
+        resumed = optimize(
+            out, V100, trials=10, checkpoint=path, resume=True, **options
+        )
+        assert digest(resumed.tuning) == digest(full.tuning)
+        assert resumed.tuning.surrogate == full.tuning.surrogate
+        assert resumed.config == full.config
+
+    def test_network_plan_reason_gain_resumes_as_warm(self, tmp_path):
+        from repro.nn import NetworkChaos, NetworkKilled
+
+        from .test_network_tuner import run
+
+        reference = run(tmp_path / "ref")
+        with pytest.raises(NetworkKilled):
+            run(tmp_path / "old", chaos=NetworkChaos(kill_after_slices=3))
+        path = tmp_path / "old" / "ckpt" / "network.ckpt"
+        snapshot = load_checkpoint(path)
+        pending = snapshot["plan"][snapshot["plan_done"]]
+        assert pending[1] == "warm"
+        pending[1] = "gain"
+        save_checkpoint(path, snapshot)
+        resumed = run(tmp_path / "old", resume=True)
+        assert resumed.state_digest() == reference.state_digest()
+
+
 class TestSnapshotFormat:
     """Version-2 snapshots: binary network arrays, no target network."""
 

@@ -440,9 +440,10 @@ class TestEngineIntegration:
 
     def test_engine_stats_and_report_include_cluster(self):
         tuner = clustered_tuner(seed=7)
-        tuner.tune(4, num_seeds=2)
-        assert "cluster" in tuner.engine.stats()
-        assert "cluster:" in tuner.engine.report()
+        result = tuner.tune(4, num_seeds=2)
+        stats = tuner.engine.stats()
+        assert stats["cluster"] == result.cluster
+        assert stats["cluster"]["num_leases"] > 0
 
 
 class TestOptimizeWiring:

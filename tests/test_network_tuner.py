@@ -171,18 +171,16 @@ class TestKillResumeParity:
 
 class TestEpsilonFloor:
     def synthetic_tasks(self):
-        """One flat (zero-gain) task among steadily improving ones."""
+        """One light task among heavier ones, all warm."""
         tasks = []
         for index in range(3):
             task = TuneTask(
                 index=index, signature=f"sig-{index}", workload=None,
-                layer_indices=[index], multiplicity=1, weight_flops=100,
+                layer_indices=[index], multiplicity=1,
+                weight_flops=50 if index == 0 else 100,
                 max_trials=1000, trials_done=6,
             )
-            if index == 0:
-                task.curve = [(3, 1.0), (6, 1.0)]       # converged: gain 0
-            else:
-                task.curve = [(3, 1.0), (6, 0.5)]       # still improving
+            task.curve = [(3, 1.0), (6, 0.5)]
             task.kernel_seconds = task.curve[-1][1]
             tasks.append(task)
         return tasks
@@ -196,11 +194,11 @@ class TestEpsilonFloor:
         tasks = self.synthetic_tasks()
         for task in tasks:
             task.last_served_round = 0
-        # Round 1: gain ranking alone would pick an improving task...
+        # Round 1: weight ranking alone would pick a heavier task...
         plan = scheduler.plan_round(1, tasks)
-        assert plan == [(1, "gain")]
-        # ...but once the flat task has waited starve_rounds rounds, the
-        # floor forces it to the front despite its zero gain.
+        assert plan == [(1, "warm")]
+        # ...but once the light task has waited starve_rounds rounds, the
+        # floor forces it to the front despite its low weight.
         plan = scheduler.plan_round(2, tasks)
         assert plan[0] == (0, "floor")
 

@@ -1,7 +1,7 @@
-"""Batched parallel evaluation engine and point canonicalization
-(ISSUE #2): canonical-equivalence soundness, workers=1 bit-identity with
-the serial path, simulated-clock overlap, dedup, quarantine interaction,
-resume, and the real fork pool (marked slow)."""
+"""Batched parallel evaluation engine and point canonicalization:
+canonical-equivalence soundness, workers=1 bit-identity with the serial
+path, simulated-clock overlap, dedup, quarantine interaction, resume,
+and the engine-mode label."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from repro.explore import (
 )
 from repro.model import DEVICES, V100, XEON_E5_2699V4
 from repro.ops import conv2d_compute, gemm_compute
+from repro.optimize import optimize
 from repro.runtime import (
     BatchEngine,
     Evaluator,
@@ -129,7 +130,7 @@ class TestCanonicalPoint:
 
     def test_engine_serves_equivalent_point_without_remeasuring(self):
         ev = gemm_evaluator()
-        engine = BatchEngine(ev, workers=2, use_pool=False)
+        engine = BatchEngine(ev, workers=2)
         space = ev.space
         ui = knob_index(space, "unroll")
         a = list(heuristic_seed_points(space, 1, np.random.default_rng(0))[0])
@@ -193,7 +194,7 @@ class TestBatchEngine:
         ev_s = gemm_evaluator()
         serial = BatchEngine(ev_s, workers=1).evaluate_batch(points)
         ev_p = gemm_evaluator()
-        parallel = BatchEngine(ev_p, workers=4, use_pool=False).evaluate_batch(points)
+        parallel = BatchEngine(ev_p, workers=4).evaluate_batch(points)
         assert serial == parallel
         assert ev_s.num_measurements == ev_p.num_measurements
 
@@ -202,7 +203,7 @@ class TestBatchEngine:
         ev_s = gemm_evaluator()
         BatchEngine(ev_s, workers=1).evaluate_batch(points)
         ev_p = gemm_evaluator()
-        BatchEngine(ev_p, workers=4, use_pool=False).evaluate_batch(points)
+        BatchEngine(ev_p, workers=4).evaluate_batch(points)
         # 8 equal-cost jobs on 4 virtual workers: half the span of 2-deep
         # chains vs. an 8-deep serial chain.
         assert ev_p.clock < ev_s.clock / 2
@@ -215,7 +216,7 @@ class TestBatchEngine:
             ev = gemm_evaluator(
                 fault_injector=FaultInjector(transient_error_rate=0.3, seed=2)
             )
-            engine = BatchEngine(ev, workers=4, use_pool=False)
+            engine = BatchEngine(ev, workers=4)
             values = engine.evaluate_batch(points)
             return values, ev.clock, [r.to_dict() for r in ev.records]
 
@@ -223,7 +224,7 @@ class TestBatchEngine:
 
     def test_records_have_monotone_clocks(self):
         ev = gemm_evaluator()
-        BatchEngine(ev, workers=4, use_pool=False).evaluate_batch(
+        BatchEngine(ev, workers=4).evaluate_batch(
             distinct_points(ev, 9)
         )
         clocks = [r.clock for r in ev.records]
@@ -232,7 +233,7 @@ class TestBatchEngine:
 
     def test_duplicate_points_measured_once(self):
         ev = gemm_evaluator()
-        engine = BatchEngine(ev, workers=4, use_pool=False)
+        engine = BatchEngine(ev, workers=4)
         point = distinct_points(ev, 1)[0]
         values = engine.evaluate_batch([point, point, point])
         assert ev.num_measurements == 1
@@ -247,7 +248,7 @@ class TestBatchEngine:
         point = distinct_points(ev, 1)[0]
         ev.evaluate(point)                    # fails once -> quarantined
         assert point in ev.quarantine
-        engine = BatchEngine(ev, workers=4, use_pool=False)
+        engine = BatchEngine(ev, workers=4)
         clock = ev.clock
         values = engine.evaluate_batch([point])
         assert values == [0.0]
@@ -270,14 +271,14 @@ class TestBatchEngine:
         ev_serial = make()
         ev_serial.measure(point)
         ev_parallel = make()
-        BatchEngine(ev_parallel, workers=4, use_pool=False).evaluate_batch([point])
+        BatchEngine(ev_parallel, workers=4).evaluate_batch([point])
         assert ev_parallel.clock == pytest.approx(ev_serial.clock)
         assert ev_parallel.records[-1].attempts == ev_serial.records[-1].attempts
 
     @pytest.mark.parametrize("tuner_cls", ALL_TUNERS)
     def test_parallel_tuners_complete_and_find(self, tuner_cls):
         ev = smoke_evaluator()
-        engine = BatchEngine(ev, workers=4, use_pool=False)
+        engine = BatchEngine(ev, workers=4)
         result = tuner_cls(ev, seed=0, engine=engine).tune(6, num_seeds=3)
         assert result.found
         assert result.num_measurements == sum(result.status_counts.values())
@@ -290,7 +291,7 @@ class TestBatchEngine:
             ev = smoke_evaluator(
                 fault_injector=FaultInjector(transient_error_rate=0.2, seed=3)
             )
-            engine = BatchEngine(ev, workers=4, use_pool=False)
+            engine = BatchEngine(ev, workers=4)
             tuner = FlexTensorTuner(ev, seed=1, engine=engine)
             return tuner.tune(
                 trials, num_seeds=3, checkpoint=checkpoint, resume=resume
@@ -307,38 +308,12 @@ class TestBatchEngine:
         assert resumed.status_counts == full.status_counts
         assert resumed.exploration_seconds == full.exploration_seconds
 
-    def test_pool_disabled_on_workers_one(self):
-        engine = BatchEngine(gemm_evaluator(), workers=1, use_pool=True)
-        assert not engine.use_pool
-
-
-@pytest.mark.slow
-class TestRealPool:
-    def test_fork_pool_matches_in_process(self):
-        points = distinct_points(gemm_evaluator(), 8)
-        ev_inproc = gemm_evaluator()
-        expected = BatchEngine(ev_inproc, workers=2, use_pool=False).evaluate_batch(points)
-        ev_pool = gemm_evaluator()
-        with BatchEngine(ev_pool, workers=2, use_pool=True) as engine:
-            got = engine.evaluate_batch(points)
-        assert got == expected
-        assert ev_pool.clock == ev_inproc.clock
-        assert [r.to_dict() for r in ev_pool.records] == [
-            r.to_dict() for r in ev_inproc.records
-        ]
-
-    def test_fork_pool_with_fault_injection(self):
-        def make():
-            return gemm_evaluator(
-                fault_injector=FaultInjector(
-                    transient_error_rate=0.4, jitter=0.1, seed=9
-                )
+    def test_engine_mode_labels_the_path_taken(self):
+        def mode(workers):
+            result = optimize(
+                gemm_compute(8, 8, 8, name="g"), V100, trials=2, workers=workers
             )
+            return result.tuning.throughput["engine_mode"]
 
-        points = distinct_points(make(), 6)
-        ev_a, ev_b = make(), make()
-        with BatchEngine(ev_a, workers=2, use_pool=True) as engine:
-            pooled = engine.evaluate_batch(points)
-        inproc = BatchEngine(ev_b, workers=2, use_pool=False).evaluate_batch(points)
-        assert pooled == inproc
-        assert ev_a.status_counts == ev_b.status_counts
+        assert mode(1) == "serial"
+        assert mode(4) == "batched"

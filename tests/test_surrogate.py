@@ -109,11 +109,6 @@ class TestGBTState:
         clone.set_state(json.loads(json.dumps(model.get_state())))
         assert not clone.is_fitted
 
-    def test_baselines_shim_reexports(self):
-        from repro.baselines.gbt import GradientBoostedTrees as Shimmed
-
-        assert Shimmed is GradientBoostedTrees
-
 
 class TestPointFeatures:
     def test_deterministic_fixed_length_finite(self):
@@ -220,7 +215,7 @@ class TestScreening:
 
     def test_observe_dedups_and_refit_cadence_is_deterministic(self):
         ev = smoke_evaluator()
-        screen = SurrogateScreen(ev.space, min_train=4, refit_every=4)
+        screen = SurrogateScreen(ev.space, min_train=4)
         points = distinct_points(ev, 8)
         for p in points:
             screen.observe(p, ev.evaluate(p))
