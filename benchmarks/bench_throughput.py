@@ -105,7 +105,7 @@ WORKLOADS = {
 }
 
 
-def run_tune(make_output, workers, cache_dir=None, trials=TRIALS,
+def run_tune(make_output, workers, eval_cache=None, trials=TRIALS,
              surrogate=False, screen_ratio=0.25,
              cluster=False, node_faults=None):
     start = time.perf_counter()
@@ -116,7 +116,7 @@ def run_tune(make_output, workers, cache_dir=None, trials=TRIALS,
         method="q",
         seed=SEED,
         workers=workers,
-        cache_dir=cache_dir,
+        eval_cache=eval_cache,
         surrogate=surrogate,
         screen_ratio=screen_ratio,
         cluster=cluster,
@@ -143,7 +143,7 @@ def trimmed(stats):
         "simulated_seconds", "points_per_simulated_second",
         "points_per_wall_second", "pool_utilization", "cache_hit_rate",
         "total_wall_seconds", "best_gflops", "real_measurements",
-        "surrogate", "cluster", "lowering", "profile",
+        "surrogate", "cluster", "lowering",
     )
     return {k: stats[k] for k in keys if k in stats}
 
@@ -195,8 +195,8 @@ def main(quick: bool = False) -> int:
     if not quick:
         print("== warm-start cache (gemm) ==")
         with tempfile.TemporaryDirectory() as cache_dir:
-            cold = run_tune(WORKLOADS["gemm_64x64x64"], workers=1, cache_dir=cache_dir)
-            warm = run_tune(WORKLOADS["gemm_64x64x64"], workers=1, cache_dir=cache_dir)
+            cold = run_tune(WORKLOADS["gemm_64x64x64"], workers=1, eval_cache=cache_dir)
+            warm = run_tune(WORKLOADS["gemm_64x64x64"], workers=1, eval_cache=cache_dir)
         payload["warm_cache"] = {
             "cold": trimmed(cold),
             "warm": trimmed(warm),
@@ -266,19 +266,6 @@ def main(quick: bool = False) -> int:
             f"[{on['engine_mode']}, {on['points_per_wall_second']:.0f} pts/wall-s, "
             f"{hotpath[name]['on']:.1f}x prior]"
         )
-        profile = on.get("profile") or {}
-        spent = {k: v["seconds"] for k, v in profile.items() if v["calls"]}
-        if spent:
-            print(
-                "  hot path (screening on): "
-                + " ".join(f"{k}={v:.3f}s" for k, v in spent.items())
-                + (
-                    f"  lowering memo hit_rate="
-                    f"{on['lowering']['hit_rate']:.0%}"
-                    if on.get("lowering")
-                    else ""
-                )
-            )
 
     # Cluster supervision chaos section (ISSUE #5): (a) seeded node
     # faults killing 3 of 4 workers mid-run must not change the best

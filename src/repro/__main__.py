@@ -442,6 +442,17 @@ def surrogate_smoke(args) -> int:
     return 0 if ok else 1
 
 
+def cluster_config(args, workers: int):
+    """The ``--cluster`` supervision policy over ``workers`` nodes, with
+    ``--straggler-pct`` applied when given."""
+    from .runtime import ClusterConfig
+
+    config = ClusterConfig(workers=max(1, workers))
+    if args.straggler_pct is not None:
+        config.straggler_pct = args.straggler_pct
+    return config
+
+
 def cluster_smoke(args) -> int:
     """``selfcheck --cluster``: chaos-determinism smoke of the supervised
     measurement cluster.
@@ -460,7 +471,7 @@ def cluster_smoke(args) -> int:
     device = DEVICES[args.device]
     trials = min(args.trials, 5)
     workers = 4
-    config = ClusterConfig(workers=workers)
+    config = cluster_config(args, workers)
     chaos = NodeFaultInjector(
         crash_rate=0.05, stale_rate=0.05, slow_rate=0.1, flaky_rate=0.1,
         seed=args.seed,
@@ -470,7 +481,6 @@ def cluster_smoke(args) -> int:
         result = optimize(
             output, device, trials=trials, method=method, seed=args.seed,
             workers=workers, cluster=config, node_faults=chaos,
-            straggler_pct=args.straggler_pct,
         )
         c = result.tuning.cluster
         verdict = "ok" if result.found else "FAILED"
@@ -740,7 +750,7 @@ def selfcheck(args) -> int:
         result = optimize(
             output, device, trials=trials, method=method, seed=args.seed,
             fault_injector=injector, measure_config=measure,
-            workers=workers, cache_dir=args.cache_dir,
+            workers=workers, eval_cache=args.cache_dir or None,
         )
         counts = ", ".join(
             f"{k}={v}" for k, v in sorted(result.tuning.status_counts.items())
@@ -817,10 +827,10 @@ def main(argv=None) -> int:
     result = optimize(
         output, device, trials=args.trials, method=args.method, seed=args.seed,
         checkpoint=args.checkpoint, resume=args.resume,
-        workers=args.workers, cache_dir=args.cache_dir,
+        workers=args.workers, eval_cache=args.cache_dir or None,
         lint=args.lint, prune_space=args.prune_space,
         surrogate=args.surrogate, screen_ratio=args.screen_ratio,
-        cluster=args.cluster, straggler_pct=args.straggler_pct,
+        cluster=args.cluster and cluster_config(args, args.workers),
         tensorize=args.tensorize,
     )
     print(result.summary())

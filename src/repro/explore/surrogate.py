@@ -28,7 +28,6 @@ See ``docs/surrogate.md``.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -163,15 +162,8 @@ class SurrogateScreen:
         self.quality = _QualityStats()
         self._quality_pairs: List[Tuple[float, float]] = []
         # Hot path (ISSUE #7): vectorized featurization of whole batches
-        # (bit-identical to the scalar path) and optional per-stage wall
-        # profiling.  The profiler is wired by the batch engine so the
-        # surrogate's stages land in the same TuneResult profile as the
-        # evaluator's.
+        # (bit-identical to the scalar path).
         self.use_batch_features = True
-        self.profiler = None
-
-    def _section(self, name: str):
-        return self.profiler.section(name) if self.profiler is not None else nullcontext()
 
     # -- featurization -----------------------------------------------------
 
@@ -219,8 +211,7 @@ class SurrogateScreen:
             self._ys[index] = float(performance)
             return
         self._seen[point] = len(self._ys)
-        with self._section("features"):
-            self._xs.append(self.features(point))
+        self._xs.append(self.features(point))
         self._ys.append(float(performance))
         self.num_observations += 1
         self._maybe_refit()
@@ -251,10 +242,9 @@ class SurrogateScreen:
         spans orders of magnitude and failures sit at 0)."""
         if not self._ys:
             return
-        with self._section("surrogate_fit"):
-            x = np.stack(self._xs)
-            y = np.log1p(np.asarray(self._ys, dtype=np.float64))
-            self.model.fit(x, y)
+        x = np.stack(self._xs)
+        y = np.log1p(np.asarray(self._ys, dtype=np.float64))
+        self.model.fit(x, y)
         self._fitted_at = len(self._ys)
         self.num_refits += 1
 
@@ -263,10 +253,7 @@ class SurrogateScreen:
     def predict(self, points: Sequence[Point]) -> np.ndarray:
         """Model scores (log1p GFLOPS) for a list of points — one
         batched featurization and one vectorized ensemble walk."""
-        with self._section("features"):
-            x = self.features_matrix(points)
-        with self._section("surrogate_predict"):
-            return self.model.predict(x)
+        return self.model.predict(self.features_matrix(points))
 
     def screen(self, points: Sequence[Point]) -> ScreenDecision:
         """Partition a candidate batch into forward / screened-out.

@@ -60,7 +60,6 @@ class TuneResult:
     num_quarantined: int = 0            # points in quarantine at the end
     cluster: Optional[Dict] = None      # ClusterSupervisor.stats() when one ran
     lowering: Optional[Dict] = None     # LoweringMemo.stats() when memoizing
-    profile: Optional[Dict] = None      # HotPathProfiler.stats() (wall seconds)
 
     @property
     def found(self) -> bool:
@@ -177,7 +176,6 @@ class BaseTuner:
                 if self.evaluator.lowering_memo is not None
                 else None
             ),
-            profile=self.evaluator.profiler.stats(),
         )
 
     # -- the tuning loop ---------------------------------------------------

@@ -9,8 +9,9 @@ code, and the exploration statistics the benchmarks report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Dict, List, Optional, Union
 
 from ..analysis import AnalysisResult, ScheduleLinter, analyze
 from ..codegen import emit_pseudo, emit_python
@@ -148,29 +149,6 @@ def _schedule_for_graph(
     return GraphConfig(inline=decisions)
 
 
-def _build_supervisor(
-    cluster, workers: int, node_faults, straggler_pct, seed: int
-) -> Optional[ClusterSupervisor]:
-    """Normalize the ``optimize(cluster=)`` argument into a supervisor.
-
-    Accepts False/None (off), True (supervise ``workers`` nodes), a
-    :class:`ClusterConfig`, or a pre-built :class:`ClusterSupervisor`
-    (returned as-is; ``node_faults``/``straggler_pct`` must then be
-    configured on it directly).
-    """
-    if not cluster:
-        return None
-    if isinstance(cluster, ClusterSupervisor):
-        return cluster
-    if isinstance(cluster, ClusterConfig):
-        config = cluster
-    else:
-        config = ClusterConfig(workers=max(1, int(workers)))
-    if straggler_pct is not None:
-        config = replace(config, straggler_pct=float(straggler_pct))
-    return ClusterSupervisor(config, node_faults=node_faults, seed=seed)
-
-
 def optimize(
     output,
     device_spec,
@@ -186,15 +164,13 @@ def optimize(
     checkpoint_every: int = 1,
     resume: bool = False,
     workers: int = 1,
-    cache_dir=None,
-    eval_cache: Optional[EvalCache] = None,
+    eval_cache: Optional[Union[EvalCache, str, Path]] = None,
     lint: bool = False,
     prune_space: bool = False,
     surrogate: bool = False,
     screen_ratio: float = 0.25,
-    cluster=False,
+    cluster: Union[bool, ClusterConfig] = False,
     node_faults: Optional[NodeFaultInjector] = None,
-    straggler_pct: Optional[float] = None,
     tensorize: bool = False,
 ) -> OptimizeResult:
     """Optimize one tensor computation for one device (Algorithm 1).
@@ -223,15 +199,14 @@ def optimize(
             bit-reproducible serial path; >1 overlaps simulated
             measurement time across that many virtual workers —
             ``docs/parallel.md``.
-        cache_dir: directory of a persistent cross-run evaluation cache;
-            warm runs serve previously measured (canonical) points for
-            free.  ``None`` (default) disables persistence.
-        eval_cache: a pre-built :class:`~repro.runtime.EvalCache` to use
-            instead of constructing one from ``cache_dir`` — lets many
-            ``optimize()`` calls (e.g. the network task scheduler's
-            per-task trial slices, ``repro.nn.tuner``) share one
-            in-memory cache without re-reading its backing file per call.
-            Takes precedence over ``cache_dir``.
+        eval_cache: the persistent cross-run evaluation cache, as a
+            directory or an open :class:`~repro.runtime.EvalCache`; warm
+            runs serve previously measured (canonical) points for free.
+            Passing an open cache lets many ``optimize()`` calls (e.g.
+            the network task scheduler's per-task trial slices,
+            ``repro.nn.tuner``) share one in-memory index without
+            re-reading its backing file per call.  ``None`` (default)
+            disables persistence.
         lint: run the static schedule linter (``repro.analysis.lint``)
             on every candidate before measuring; statically-illegal
             points are rejected at zero simulated cost with
@@ -255,19 +230,18 @@ def optimize(
             assignment with deadlines, speculative re-execution of
             stragglers, and a per-worker health circuit breaker that
             degrades to the bit-identical serial path when every worker
-            is quarantined.  ``True`` builds a supervisor over
-            ``workers`` nodes; pass a :class:`ClusterConfig` or a
-            pre-built :class:`ClusterSupervisor` for full control.  Off
-            by default — ``docs/cluster.md``.
+            is quarantined.  ``True`` supervises ``workers`` nodes with
+            the default policy; pass a :class:`ClusterConfig` to set the
+            policy (its ``workers`` then wins), e.g. ``straggler_pct``,
+            the lease-duration percentile beyond which a running lease
+            is speculatively re-executed.  Off by default —
+            ``docs/cluster.md``.
         node_faults: a :class:`~repro.runtime.NodeFaultInjector` imposing
             seeded node-level faults (worker crash, stale heartbeat,
             slow node, flaky node) on the supervised cluster.  Node
             faults perturb scheduling and billing only, never
             measurement outcomes, so a chaos run finds the same best
             schedule as a fault-free run at equal trial count.
-        straggler_pct: percentile of recent lease durations beyond which
-            a running lease is speculatively re-executed (default from
-            :class:`ClusterConfig`; only meaningful with ``cluster``).
         tensorize: add the ``tensorize`` knob to the space when any
             registered intrinsic (``repro.analysis.INTRINSICS``)
             statically matches the computation's innermost loops — the
@@ -289,8 +263,8 @@ def optimize(
 
     # Back-end: exploration over the space.
     linter = ScheduleLinter(space.op, target, device_spec) if lint else None
-    if eval_cache is None:
-        eval_cache = EvalCache(cache_dir) if cache_dir else None
+    if isinstance(eval_cache, (str, Path)):
+        eval_cache = EvalCache(eval_cache)
     evaluator = Evaluator(
         graph, device_spec, space=space, graph_config=graph_config,
         measure_config=measure_config, fault_injector=fault_injector,
@@ -313,10 +287,11 @@ def optimize(
         if surrogate
         else None
     )
-    supervisor = _build_supervisor(
-        cluster, workers=workers, node_faults=node_faults,
-        straggler_pct=straggler_pct, seed=seed,
-    )
+    supervisor = None
+    if cluster:
+        if not isinstance(cluster, ClusterConfig):
+            cluster = ClusterConfig(workers=max(1, int(workers)))
+        supervisor = ClusterSupervisor(cluster, node_faults=node_faults, seed=seed)
     engine = BatchEngine(
         evaluator, workers=workers, surrogate=screen, cluster=supervisor
     )

@@ -29,7 +29,6 @@ from .measure import (
     op_signature_of,
 )
 from .parallel import BatchEngine
-from .profile import HotPathProfiler
 from .records import RecordBook, TuningRecord, parse_workload_key, workload_key
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "Evaluator",
     "Fault",
     "FaultInjector",
-    "HotPathProfiler",
     "InjectedCompileError",
     "InjectedHang",
     "InjectedRuntimeError",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -31,7 +30,6 @@ from ..graph import MiniGraph, get_graph
 from ..ir import format_operation
 from ..model import INVALID_TIME, model_for, target_of
 from ..schedule import GraphConfig, LoweringError, LoweringMemo, Scheduled, lower
-from .profile import HotPathProfiler
 from ..space import Point, ScheduleSpace, build_space
 from .cache import EvalCache
 from .fault import (
@@ -193,7 +191,6 @@ class Evaluator:
         fault_injector: Optional[FaultInjector] = None,
         eval_cache: Optional[EvalCache] = None,
         linter: Optional["ScheduleLinter"] = None,
-        memoize_lowering: bool = True,
     ):
         self.graph: MiniGraph = output if isinstance(output, MiniGraph) else get_graph(output)
         self.device_spec = device_spec
@@ -236,11 +233,10 @@ class Evaluator:
         self.num_lint_rejects = 0
         self.lint_rule_counts: Dict[str, int] = {}
         # Hot path (ISSUE #7): memoize the structural half of lowering
-        # across points sharing split/reorder/fuse decisions, and account
-        # wall seconds per stage.  Both are pure accelerations — results
-        # are bit-identical with the memo on or off.
-        self.lowering_memo = LoweringMemo() if memoize_lowering else None
-        self.profiler = HotPathProfiler()
+        # across points sharing split/reorder/fuse decisions.  A pure
+        # acceleration — results are bit-identical with the memo set to
+        # None (the unmemoized reference path).
+        self.lowering_memo: Optional[LoweringMemo] = LoweringMemo()
 
     # -- evaluation --------------------------------------------------------
 
@@ -385,29 +381,6 @@ class Evaluator:
             )
         return self._op_signature
 
-    def _retry_loop(self, next_attempt, on_retry=None):
-        """The one retry policy shared by the serial and batched paths.
-
-        ``next_attempt(attempts)`` runs attempt number ``attempts``
-        (1-based) and returns ``(status, seconds, error)``; a transient
-        :attr:`MeasureStatus.RUNTIME_ERROR` is retried up to
-        ``max_retries`` times, invoking ``on_retry(retry_index)`` (0-based)
-        before each re-roll.  Returns ``(status, seconds, attempts,
-        error)`` of the final attempt.  Keeping this in one place means
-        backoff/billing changes cannot diverge between
-        :meth:`measure` and :meth:`remote_outcome`.
-        """
-        config = self.measure_config
-        attempts = 0
-        while True:
-            attempts += 1
-            status, seconds, error = next_attempt(attempts)
-            if status is MeasureStatus.RUNTIME_ERROR and attempts <= config.max_retries:
-                if on_retry is not None:
-                    on_retry(attempts - 1)
-                continue
-            return status, seconds, attempts, error
-
     def retry_charge(self, retry_index: int) -> float:
         """Simulated seconds one failed-then-retried attempt bills: the
         compile cost of the wasted attempt plus exponential backoff.
@@ -419,32 +392,38 @@ class Evaluator:
         )
 
     def measure(self, point: Point) -> MeasureResult:
-        """Run the full fault-tolerant measurement pipeline on one point."""
+        """Run the full fault-tolerant measurement pipeline on one point:
+        the outcome, then each retry's compile cost and backoff pause (real
+        tuners pay wall-clock for both), then the final attempt."""
+        outcome = self.remote_outcome(point)
+        for retry in range(outcome["attempts"] - 1):
+            self.clock += self.retry_charge(retry)
+        return self.apply_remote(point, outcome)
 
-        def on_retry(retry_index: int) -> None:
-            # Transient: pay the failed attempt plus a backoff pause,
-            # then try again.  Real tuners pay wall-clock for both.
-            self.clock += self.retry_charge(retry_index)
+    # -- measurement halves (measure() and repro.runtime.parallel) ---------
 
-        status, seconds, attempts, error = self._retry_loop(
-            lambda _attempts: self._attempt(point), on_retry=on_retry
-        )
-        return self._finish(point, status, seconds, attempts, error)
-
-    # -- split measurement halves (repro.runtime.parallel) -----------------
-
-    def remote_outcome(self, point: Point, base_attempt: int = 0) -> Dict:
+    def remote_outcome(self, point: Point) -> Dict:
         """The *pure* half of :meth:`measure`: run the retry loop and
         return a plain outcome dict, mutating no evaluator state.
 
-        ``base_attempt`` is the point's lifetime attempt count at
-        submission time, so fault-injector rolls are identical to the
-        rolls the serial path would have made.  The parent applies the
-        outcome (clock, cache, records) with :meth:`apply_remote`.
+        Attempt indices continue from the point's lifetime attempt count,
+        so fault-injector rolls (pure in seed, point and attempt index)
+        never repeat across visits.  A transient
+        :attr:`MeasureStatus.RUNTIME_ERROR` is re-rolled up to
+        ``max_retries`` times.  The caller applies the outcome (clock,
+        cache, records) with :meth:`apply_remote`, which advances the
+        attempt count.
         """
-        status, seconds, attempts, error = self._retry_loop(
-            lambda attempts: self._attempt_at(point, base_attempt + attempts - 1)
-        )
+        base_attempt = self._attempt_counts.get(point, 0)
+        attempts = 0
+        while True:
+            status, seconds, error = self._attempt_at(point, base_attempt + attempts)
+            attempts += 1
+            if (
+                status is not MeasureStatus.RUNTIME_ERROR
+                or attempts > self.measure_config.max_retries
+            ):
+                break
         return {
             "point": list(point),
             "status": status.value,
@@ -466,10 +445,13 @@ class Evaluator:
         )
         return cost
 
-    def apply_remote(self, point: Point, outcome: Dict, clock: float) -> MeasureResult:
-        """The *billing* half of :meth:`measure`: fold a worker outcome
-        into evaluator state, stamping the record with the simulated
-        completion ``clock`` computed by the batch engine."""
+    def apply_remote(
+        self, point: Point, outcome: Dict, clock: Optional[float] = None
+    ) -> MeasureResult:
+        """The *billing* half of :meth:`measure`: fold an outcome into
+        evaluator state.  ``clock=None`` bills the final attempt on the
+        evaluator's own clock; the batch engine instead passes the
+        simulated completion time it computed for the record."""
         self._attempt_counts[point] = (
             self._attempt_counts.get(point, 0) + outcome["attempts"]
         )
@@ -482,12 +464,6 @@ class Evaluator:
             clock=clock,
         )
 
-    def _attempt(self, point: Point) -> Tuple[MeasureStatus, float, Optional[str]]:
-        """One measurement attempt: (status, kernel seconds, error)."""
-        attempt_index = self._attempt_counts.get(point, 0)
-        self._attempt_counts[point] = attempt_index + 1
-        return self._attempt_at(point, attempt_index)
-
     def _attempt_at(
         self, point: Point, attempt_index: int
     ) -> Tuple[MeasureStatus, float, Optional[str]]:
@@ -495,8 +471,8 @@ class Evaluator:
 
         Pure with respect to *simulated* state: touches no counters, no
         clock, no records — so batch outcomes are order-independent.
-        (The lowering memo and wall-time profiler are touched, but both
-        are pure accelerations/diagnostics with no effect on results.)
+        (The lowering memo is touched, but it is a pure acceleration with
+        no effect on results.)
         """
         config = self.measure_config
         fault = Fault.NONE
@@ -505,20 +481,12 @@ class Evaluator:
         try:
             if fault is Fault.COMPILE:
                 raise InjectedCompileError("injected compile failure")
-            started = perf_counter()
-            try:
-                scheduled = self.lower_point(point)
-            finally:
-                self.profiler.add("lower", perf_counter() - started)
+            scheduled = self.lower_point(point)
             if fault is Fault.HANG:
                 raise InjectedHang("injected kernel hang")
             if fault is Fault.TRANSIENT:
                 raise InjectedRuntimeError("injected transient device error")
-            started = perf_counter()
-            try:
-                seconds = self.model.estimate_seconds(scheduled)
-            finally:
-                self.profiler.add("model_eval", perf_counter() - started)
+            seconds = self.model.estimate_seconds(scheduled)
         except LoweringError as exc:
             return MeasureStatus.LOWER_ERROR, INVALID_TIME, str(exc)
         except InjectedHang as exc:

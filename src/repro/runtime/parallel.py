@@ -14,13 +14,19 @@ Two execution modes share one billing model:
   literally looping the serial :meth:`Evaluator.evaluate`, so seeded
   tests, fault injection and checkpoint/resume stay bit-identical to the
   pre-engine code path.
-* ``workers>1`` — measurement is split into a pure outcome half
+* ``workers>1`` — the batch's outcomes come from the same two halves
+  :meth:`Evaluator.measure` runs in sequence: a pure outcome half
   (:meth:`Evaluator.remote_outcome`) and a billing half
-  (:meth:`Evaluator.apply_remote`).  Outcomes are computed in-process;
-  the *simulated* clock advances by the batch makespan: job costs are
-  assigned to the least-loaded of W virtual workers in submission order
-  (LPT-style list scheduling), so W workers genuinely overlap simulated
-  measurement time — the quantity Figures 6d/7 account in.
+  (:meth:`Evaluator.apply_remote`).  Between them the *simulated* clock
+  advances by the batch makespan: job costs are assigned to the
+  least-loaded of W virtual workers in submission order (LPT-style list
+  scheduling), so W workers genuinely overlap simulated measurement
+  time — the quantity Figures 6d/7 account in.
+
+One dispatch, :meth:`BatchEngine._measure`, picks the mode for plain
+batches and for the candidates the surrogate screen forwards.  The
+batched mode and the screen share one probe (lint gate, then cache
+lookup).
 
 Determinism contract: for a fixed evaluator configuration and submission
 order, results, records, clock values and caches are a pure function of
@@ -67,11 +73,7 @@ class BatchEngine:
         # Surrogate screen (repro.explore.surrogate): when attached, each
         # batch is ranked after the lint gate and cache probe, and only
         # the top fraction (plus the ε exploration slice) is measured.
-        # Its fit/predict/featurize wall time lands in the evaluator's
-        # hot-path profile so TuneResult carries one unified breakdown.
         self.surrogate = surrogate
-        if surrogate is not None and getattr(surrogate, "profiler", None) is None:
-            surrogate.profiler = evaluator.profiler
         # Cluster supervisor (repro.runtime.cluster): when attached,
         # simulated-clock billing runs through its lease/heartbeat/
         # speculation scheduler instead of plain LPT, and an all-open
@@ -96,12 +98,7 @@ class BatchEngine:
         try:
             if self.surrogate is not None:
                 return self._evaluate_screened(points)
-            if self.workers == 1:
-                return self._evaluate_serial(points)
-            if self.cluster_degraded():
-                self.cluster.mark_degraded()
-                return self._evaluate_serial(points)
-            return self._evaluate_parallel(points)
+            return self._measure(points)
         finally:
             self.wall_seconds += time.perf_counter() - started
             self.num_batches += 1
@@ -118,6 +115,44 @@ class BatchEngine:
         if self.cluster is None or not self.workers > 1:
             return False
         return not self.cluster.any_available(self.evaluator.clock)
+
+    def _measure(self, points: Sequence[Point]) -> List[float]:
+        """The one measurement dispatch: the serial loop with one worker
+        (or a fully degraded cluster), otherwise one batched run billed
+        by LPT or by the cluster supervisor."""
+        if self.cluster_degraded():
+            self.cluster.mark_degraded()
+        elif self.workers > 1:
+            return self._evaluate_parallel(points)
+        return self._evaluate_serial(points)
+
+    def _probe(
+        self, points: Sequence[Point], results: List[Optional[float]]
+    ) -> List[Tuple[int, Point]]:
+        """Lint gate, then cache probe, for each point.  Answered points
+        are written into ``results``; the rest come back as
+        ``(index, point)`` candidates that still need measuring.
+
+        Lint goes first (a statically-illegal point is never measured —
+        it is rejected at zero simulated cost), then cache/quarantine
+        hits are served for free.
+        """
+        ev = self.evaluator
+        candidates: List[Tuple[int, Point]] = []
+        for i, point in enumerate(points):
+            point = tuple(point)
+            rejected = ev.lint_reject(point)
+            if rejected is not None:
+                results[i] = rejected
+                self.num_lint_rejected += 1
+                continue
+            cached = ev.lookup(point)
+            if cached is not None:
+                results[i] = cached
+                self.num_cached += 1
+                continue
+            candidates.append((i, point))
+        return candidates
 
     def _evaluate_serial(self, points: Sequence[Point]) -> List[float]:
         """Bit-reproducible fallback: the exact serial evaluation loop.
@@ -148,29 +183,16 @@ class BatchEngine:
         Screened-out candidates are answered with the surrogate's
         predicted performance and billed only the model-inference cost
         (near-zero, like a lint reject); the forwarded slice runs through
-        the usual serial or batched measurement path.  Every fresh
-        measurement is fed back into the surrogate's training set, and
-        the screen's ranking is scored against the real results.
+        :meth:`_measure`.  Every fresh measurement is fed back into the
+        surrogate's training set, and the screen's ranking is scored
+        against the real results.
         """
         ev = self.evaluator
         surrogate = self.surrogate
         results: List[Optional[float]] = [None] * len(points)
-        candidates: List[Tuple[int, Point]] = []
-        for i, point in enumerate(points):
-            point = tuple(point)
-            rejected = ev.lint_reject(point)
-            if rejected is not None:
-                results[i] = rejected
-                self.num_lint_rejected += 1
-                continue
-            cached = ev.lookup(point)
-            if cached is not None:
-                results[i] = cached
-                self.num_cached += 1
-                continue
-            candidates.append((i, point))
+        candidates = self._probe(points, results)
         if not candidates:
-            return [r for r in results]
+            return results
         decision = surrogate.screen([p for _, p in candidates])
         for position, predicted in decision.screened:
             results[candidates[position][0]] = predicted
@@ -183,20 +205,7 @@ class BatchEngine:
         forward_points = [candidates[position][1] for position in decision.forward]
         records_before = len(ev.records)
         if forward_points:
-            degraded = self.workers > 1 and self.cluster_degraded()
-            if degraded:
-                self.cluster.mark_degraded()
-            if self.workers == 1 or degraded:
-                clock_before = ev.clock
-                measured_before = ev.num_measurements
-                performances = [ev.evaluate(p) for p in forward_points]
-                measured = ev.num_measurements - measured_before
-                self.num_measured += measured
-                self.num_cached += len(forward_points) - measured
-                self.span_seconds += ev.clock - clock_before
-                self.busy_seconds += ev.clock - clock_before
-            else:
-                performances = self._evaluate_parallel(forward_points)
+            performances = self._measure(forward_points)
             for position, performance in zip(decision.forward, performances):
                 results[candidates[position][0]] = performance
         # Online training: every measurement this batch actually ran.
@@ -207,42 +216,28 @@ class BatchEngine:
             [(position, results[candidates[position][0]])
              for position in decision.forward],
         )
-        return [r for r in results]
+        return results
 
     def _evaluate_parallel(self, points: Sequence[Point]) -> List[float]:
         ev = self.evaluator
         results: List[Optional[float]] = [None] * len(points)
-        # 1. Lint first (a statically-illegal point is never measured —
-        #    it is rejected at zero simulated cost), then serve
-        #    cache/quarantine hits for free, then dedup the rest by
-        #    canonical key so one measurement covers every equivalent
-        #    submission in the batch.
-        jobs: List[Tuple[Point, int, List[int]]] = []
+        # 1. Probe, then dedup the misses by canonical key so one
+        #    measurement covers every equivalent submission in the batch.
+        jobs: List[Tuple[Point, List[int]]] = []
         job_by_key: Dict[Point, int] = {}
-        for i, point in enumerate(points):
-            point = tuple(point)
-            rejected = ev.lint_reject(point)
-            if rejected is not None:
-                results[i] = rejected
-                self.num_lint_rejected += 1
-                continue
-            cached = ev.lookup(point)
-            if cached is not None:
-                results[i] = cached
-                self.num_cached += 1
-                continue
+        for i, point in self._probe(points, results):
             key = ev.canonical_key(point)
             existing = job_by_key.get(key)
             if existing is not None:
-                jobs[existing][2].append(i)
+                jobs[existing][1].append(i)
                 self.num_deduped += 1
                 continue
             job_by_key[key] = len(jobs)
-            jobs.append((point, ev._attempt_counts.get(point, 0), [i]))
+            jobs.append((point, [i]))
         if not jobs:
-            return [r for r in results]  # everything was cached
+            return results  # everything was cached
         # 2. Compute outcomes — pure, order-independent.
-        outcomes = [ev.remote_outcome(p, base) for p, base, _ in jobs]
+        outcomes = [ev.remote_outcome(p) for p, _ in jobs]
         # 3. Bill simulated time.  With a cluster supervisor attached the
         #    batch runs through its lease/heartbeat/speculation scheduler
         #    (node faults perturb timing and worker health, never the
@@ -274,7 +269,7 @@ class BatchEngine:
         #    stream and convergence curve have monotone clocks.
         order = sorted(range(len(jobs)), key=lambda j: completions[j])
         for j in order:
-            point, _base, indices = jobs[j]
+            point, indices = jobs[j]
             result = ev.apply_remote(
                 point, outcomes[j], clock=batch_start + completions[j]
             )
@@ -284,7 +279,7 @@ class BatchEngine:
         self.num_measured += len(jobs)
         self.busy_seconds += busy
         self.span_seconds += makespan
-        return [r for r in results]
+        return results
 
     # -- reporting ---------------------------------------------------------
 
@@ -326,7 +321,6 @@ class BatchEngine:
         }
         if ev.lowering_memo is not None:
             payload["lowering"] = ev.lowering_memo.stats()
-        payload["profile"] = ev.profiler.stats()
         if ev.eval_cache is not None:
             payload["eval_cache"] = ev.eval_cache.stats()
         if self.surrogate is not None:

@@ -28,6 +28,7 @@ boundaries, scripted per-job crash slices, and a pool-breaker switch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -35,6 +36,7 @@ from ..model import DEVICES
 from ..ops import convolution as _conv
 from ..ops import linalg as _linalg
 from ..ops.workloads import _BUILDERS
+from ..runtime.cache import EvalCache
 from ..runtime.records import RecordBook, TuningRecord, workload_key
 from .jobstore import Job, JobState, JobStore
 from .scheduler import Scheduler, ServeConfig
@@ -104,7 +106,6 @@ class TuningService:
         self.scheduler = Scheduler(self.config)
         self.chaos = chaos
         self.records = RecordBook(self.store.store_dir / RECORDS_FILENAME)
-        self.cache_dir = self.store.store_dir / EVALCACHE_DIRNAME
         self.clock = self.store.clock
         self.draining = False
         self.slices_run = 0          # global slices this *process* ran
@@ -113,6 +114,15 @@ class TuningService:
         self.num_lookup_enqueued = 0
         self._last_result = None
         self.recovered_jobs = self._recover()
+
+    @cached_property
+    def eval_cache(self) -> EvalCache:
+        """The store's shared EvalCache, read from disk once, at the first
+        slice, and kept by every later slice; a service that only submits,
+        looks up or reports status never reads it.  Like the RecordBook,
+        entries another live daemon appends afterwards become visible at
+        the next service start."""
+        return EvalCache(self.store.store_dir / EVALCACHE_DIRNAME)
 
     # -- recovery ----------------------------------------------------------
 
@@ -308,7 +318,7 @@ class TuningService:
             checkpoint_every=target_trials,
             resume=True,
             workers=self.config.workers,
-            cache_dir=str(self.cache_dir),
+            eval_cache=self.eval_cache,
         )
         slice_seconds = result.tuning.exploration_seconds - job.sim_seconds
         job.trials_done = target_trials

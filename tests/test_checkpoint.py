@@ -379,7 +379,7 @@ class TestSliceGrainCommits:
 
         monkeypatch.setattr(os, "fsync", recording_fsync)
         optimize(smoke_output(), V100, trials=5, seed=5, checkpoint=path,
-                 cache_dir=str(tmp_path / "cache"))
+                 eval_cache=str(tmp_path / "cache"))
         checkpoints = [i for i, (kind, _) in enumerate(events) if kind == "checkpoint"]
         assert len(checkpoints) == 5
         for index in checkpoints:

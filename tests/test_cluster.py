@@ -464,8 +464,8 @@ class TestOptimizeWiring:
 
     def test_straggler_pct_passthrough(self):
         result = optimize(
-            smoke_output(), V100, trials=3, seed=5, workers=4, cluster=True,
-            straggler_pct=75.0,
+            smoke_output(), V100, trials=3, seed=5, workers=4,
+            cluster=ClusterConfig(workers=4, straggler_pct=75.0),
         )
         assert result.tuning.cluster["straggler_pct"] == 75.0
 

@@ -18,6 +18,7 @@ from repro.explore import (
 from repro.model import V100
 from repro.ops import conv2d_compute, gemm_compute
 from repro.runtime import (
+    BatchEngine,
     Evaluator,
     Fault,
     FaultInjector,
@@ -157,6 +158,92 @@ class TestRetryAccounting:
         before = ev.num_measurements
         ev.evaluate(point)  # re-visit re-measures (fresh fault rolls)
         assert ev.num_measurements == before + 1
+
+
+class TestRecordStreamPin:
+    """Exact record stream and retry billing of one seeded fault mix
+    (compile errors, hangs, transients, jitter, a timeout), through the
+    serial ``Evaluator.evaluate`` loop and through ``BatchEngine(workers=4)``.
+
+    Clocks are compared as ``float.hex`` strings, so any change in the
+    order of the clock additions — not only in their sum — fails here.
+    """
+
+    @staticmethod
+    def make():
+        injector = FaultInjector(
+            compile_error_rate=0.1, hang_rate=0.1, transient_error_rate=0.35,
+            jitter=0.2, seed=11,
+        )
+        return Evaluator(
+            gemm_compute(16, 16, 16, name="g"), V100,
+            measure_config=MeasureConfig(timeout_seconds=2e-5),
+            fault_injector=injector,
+        )
+
+    @staticmethod
+    def stream(ev):
+        """12 fresh points, then re-visits of the first 8 (one of which
+        exhausted its retries) and one more of that retried point."""
+        rng = np.random.default_rng(5)
+        points = [ev.space.random_point(rng) for _ in range(12)]
+        return points + points[:8] + points[7:8]
+
+    @staticmethod
+    def rows(ev):
+        return [
+            (r.status.value, r.attempts, r.clock.hex(), r.performance)
+            for r in ev.records
+        ]
+
+    SERIAL = [
+        ("run_timeout", 3, "0x1.a66cf41f212d8p+1", 0.0),
+        ("flaky_retried", 3, "0x1.a66c516b343a1p+2", 0.6691867754660908),
+        ("ok", 1, "0x1.e66d23224b92fp+2", 1.916484250616334),
+        ("run_timeout", 1, "0x1.133763483d226p+3", 0.0),
+        ("run_timeout", 1, "0x1.333834ff547b4p+3", 0.0),
+        ("ok", 1, "0x1.53389ddae027bp+3", 0.9800973238889802),
+        ("run_timeout", 1, "0x1.73396f91f7809p+3", 0.0),
+        ("runtime_error", 3, "0x1.dcd4ac99bfcbep+3", 0.0),
+        ("ok", 1, "0x1.fcd57ca28e478p+3", 0.4129093344139707),
+        ("run_timeout", 1, "0x1.0e6b272cd2d03p+4", 0.0),
+        ("ok", 1, "0x1.1e6b5b9a98a67p+4", 1.470984938190348),
+        ("run_timeout", 1, "0x1.2e6bc4762452ep+4", 0.0),
+        ("compile_error", 1, "0x1.3e6c2d51afff5p+4", 0.0),
+    ]
+
+    BATCHED = [
+        ("ok", 1, "0x1.000346dc5d639p+0", 1.916484250616334),
+        ("run_timeout", 1, "0x1.00068db8bac71p+0", 0.0),
+        ("run_timeout", 1, "0x1.0004ea4a8c155p+1", 0.0),
+        ("flaky_retried", 3, "0x1.a66baeb74746ap+1", 0.6691867754660908),
+        ("run_timeout", 3, "0x1.a66cf41f212d8p+1", 0.0),
+        ("ok", 1, "0x1.13374bc6a7efap+2", 0.9800973238889802),
+        ("ok", 1, "0x1.13381a212d8e0p+2", 0.4129093344139707),
+        ("run_timeout", 1, "0x1.13381d7dbf488p+2", 0.0),
+        ("run_timeout", 1, "0x1.5338ef34d6a16p+2", 0.0),
+        ("runtime_error", 3, "0x1.a66cf41f212d8p+2", 0.0),
+        ("ok", 1, "0x1.e66dc5d638866p+2", 1.470984938190348),
+        ("run_timeout", 1, "0x1.e66e978d4fdf4p+2", 0.0),
+        ("compile_error", 1, "0x1.e66e978d4fdf4p+2", 0.0),
+    ]
+
+    def test_serial_loop(self):
+        ev = self.make()
+        for point in self.stream(ev):
+            ev.evaluate(point)
+        assert self.rows(ev) == self.SERIAL
+        assert ev.clock.hex() == "0x1.3e6c2d51afff5p+4"
+
+    def test_batch_engine_four_workers(self):
+        ev = self.make()
+        stream = self.stream(ev)
+        engine = BatchEngine(ev, workers=4)
+        # The middle batch repeats a point, so one job covers two slots.
+        for batch in (stream[0:5], stream[5:10] + [stream[6]], stream[10:]):
+            engine.evaluate_batch(batch)
+        assert self.rows(ev) == self.BATCHED
+        assert ev.clock.hex() == "0x1.e66e978d4fdf4p+2"
 
 
 class TestQuarantine:

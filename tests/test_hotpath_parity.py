@@ -440,7 +440,9 @@ TUNERS = {
 
 
 def run_tuner(tuner_cls, fast, workload="gemm", device=V100):
-    ev = Evaluator(WORKLOADS[workload](), device, memoize_lowering=fast)
+    ev = Evaluator(WORKLOADS[workload](), device)
+    if not fast:
+        ev.lowering_memo = None
     result = tuner_cls(ev, seed=0).tune(trials=3, num_seeds=3)
     return (
         result.best_performance,

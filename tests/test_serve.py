@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.model import V100
 from repro.optimize import tune_workload
 from repro.ops.workloads import Workload
-from repro.runtime import RecordBook, TuningRecord
+from repro.runtime import EvalCache, RecordBook, TuningRecord
 from repro.schedule import NodeConfig
 from repro.serve import (
     DaemonKilled,
@@ -398,6 +398,24 @@ def test_two_jobs_share_cache_and_records_across_preemption(tmp_path):
     best = book.best("gemm[k=8,m=8,n=8]@V100")
     assert best is not None
     assert best.gflops == max(first.best_gflops, second.best_gflops)
+
+
+def test_service_opens_its_eval_cache_once(tmp_path, monkeypatch):
+    """A multi-slice run reads the store's EvalCache file once, when the
+    service starts, not once per slice."""
+    opened = []
+    original_init = EvalCache.__init__
+
+    def counting_init(self, *args, **kwargs):
+        opened.append(args)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EvalCache, "__init__", counting_init)
+    service = TuningService(tmp_path, ServeConfig(slice_trials=1))
+    submit_mixed(service, trials=2)
+    service.run()
+    assert service.slices_run > 4
+    assert len(opened) == 1
 
 
 # -- RecordBook signature index (satellite) --------------------------------
