@@ -1,36 +1,29 @@
 """Command-line interface: tune an operator without writing code.
 
-Examples::
+Each command takes only the flags it reads; ``python -m repro <command>
+--help`` lists them.  Examples::
 
     python -m repro conv2d --device V100 --in-channel 256 --out-channel 512 \
         --size 28 --kernel 3 --trials 40
     python -m repro gemm --device XeonE5-2699v4 --n 1024 --k 1024 --m 1024
     python -m repro conv2d --device VU9P --size 14 --save tuned.json
     python -m repro conv2d --trials 200 --checkpoint run.ckpt --resume
-    python -m repro gemm --workers 4 --cache-dir ~/.repro-cache
-    python -m repro gemm --lint --prune-space
-    python -m repro gemm --surrogate --screen-ratio 0.15
     python -m repro gemm --workers 4 --cluster --straggler-pct 90
-    python -m repro lint --device V100 --sample 400
+    python -m repro gemm --surrogate --screen-ratio 0.15 --lint --prune-space
     python -m repro lint --target cpu --sample 200
-    python -m repro gemm --tensorize --device XeonE5-2699v4
-    python -m repro selfcheck --tensorize
-    python -m repro selfcheck --faults
-    python -m repro selfcheck --parallel
-    python -m repro selfcheck --lint
-    python -m repro selfcheck --surrogate
-    python -m repro selfcheck --cluster
+    python -m repro selfcheck --faults --cache-dir /tmp/evalcache
+    python -m repro selfcheck --serve
     python -m repro submit --store /tmp/svc --tenant alice --op gemm --n 256
     python -m repro serve --store /tmp/svc
     python -m repro status --store /tmp/svc
     python -m repro lookup --store /tmp/svc --op gemm --n 256 --enqueue
-    python -m repro selfcheck --serve
     python -m repro tune-network --network yolo-v1 --store /tmp/svc --trials 25
     python -m repro tune-network --network overfeat --uniform
 
-Exit codes: 0 on success; nonzero on any failure (no schedule found, a
-selfcheck verdict of FAILED, a rejected submission, a lookup miss, a
-missing service store, or a serve pass that left jobs failed or
+Exit codes: 0 on success; 2 on a command line argparse rejects, such as
+a flag the command does not take; 1 on any other failure (no schedule
+found, a selfcheck verdict of FAILED, a rejected submission, a lookup
+miss, a missing service store, or a serve pass that left jobs failed or
 quarantined).
 """
 
@@ -41,150 +34,163 @@ import sys
 
 from . import optimize
 from .model import DEVICES
-from .ops import conv2d_compute, gemm_compute, gemm_int8_compute, gemv_compute
+from .ops import conv2d_compute, gemm_compute, gemm_int8_compute
 from .runtime import FaultInjector, MeasureConfig
+from .serve.service import OPERATORS
 from .utils import save_schedule
+
+#: Every flag any command takes, with its argparse settings.
+OPTIONS = {
+    "--device": dict(default="V100", choices=sorted(DEVICES)),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=40),
+    "--method": dict(default="q",
+                     choices=["q", "p", "random-walk", "random-sample"]),
+    **{flag: dict(type=int, default=default) for flag, default in (
+        ("--batch", 1), ("--in-channel", 256), ("--out-channel", 512),
+        ("--kernel", 3), ("--stride", 1), ("--n", 1024), ("--k", 1024),
+        ("--m", 1024))},
+    "--size": dict(type=int, default=28, help="height = width"),
+    "--padding": dict(type=int, default=None, help="default: kernel // 2"),
+    "--save": dict(help="write the tuned schedule to a JSON file"),
+    "--show-code": dict(action="store_true",
+                        help="print the generated Python kernel"),
+    "--checkpoint": dict(help="JSONL checkpoint file for crash-safe tuning"),
+    "--resume": dict(action="store_true",
+                     help="resume from the newest checkpoint snapshot"),
+    "--workers": dict(type=int, default=1, help="parallel evaluation "
+                      "workers (1 = the bit-reproducible serial path)"),
+    "--cache-dir": dict(help="persistent cross-run evaluation cache"),
+    "--lint": dict(action="store_true", help="statically reject illegal "
+                   "points at zero measurement cost"),
+    "--prune-space": dict(action="store_true", help="drop knob values that "
+                          "alone violate a device limit"),
+    "--surrogate": dict(action="store_true", help="measure only the "
+                        "candidates a learned cost model ranks best"),
+    "--screen-ratio": dict(type=float, default=0.25, help="fraction of each "
+                           "ranked batch measured with --surrogate"),
+    "--cluster": dict(action="store_true", help="supervise the measurement "
+                      "workers (leases, speculation, circuit breakers)"),
+    "--straggler-pct": dict(type=float, help="lease-duration percentile "
+                            "that triggers re-execution (default 95)"),
+    "--tensorize": dict(action="store_true", help="add the tensorize knob "
+                        "when a registered intrinsic matches"),
+    "--faults": dict(action="store_true", help="inject compile errors, "
+                     "hangs and flaky measurements"),
+    "--parallel": dict(action="store_true",
+                       help="run the tuners on 4 batched workers"),
+    "--sample": dict(type=int, default=400,
+                     help="random points sampled per schedule space"),
+    "--target": dict(choices=["gpu", "cpu", "fpga"], help="lint the "
+                     "family's reference device instead of --device"),
+    "--lint-records": dict(action="store_true",
+                           help="print every diagnostic"),
+    "--store": dict(default=".repro-serve", help="service store directory "
+                    "(job WAL, checkpoints, records, eval cache)"),
+    "--tenant": dict(default="anonymous", help="tenant billed for the job"),
+    "--op": dict(default="gemm", choices=["conv2d", "gemm", "gemv"]),
+    "--priority": dict(type=int, default=1, choices=[0, 1, 2],
+                       help="0=interactive, 1=batch, 2=background"),
+    "--ttl": dict(type=float, help="job TTL in simulated seconds"),
+    "--slice-trials": dict(type=int, help="trials per scheduling slice "
+                           "(default: serve 2, else the scheduler's)"),
+    "--max-slices": dict(type=int, help="stop after this many slices"),
+    "--max-queue": dict(type=int, default=64,
+                        help="global bound on active jobs"),
+    "--max-crashes": dict(type=int, default=3,
+                          help="crashes before a job is quarantined"),
+    "--enqueue": dict(action="store_true",
+                      help="enqueue a tuning job on a miss"),
+    "--network": dict(default="yolo-v1", choices=["yolo-v1", "overfeat"]),
+    "--uniform": dict(action="store_true", help="identical per-layer "
+                      "budgets instead of the task scheduler"),
+}
+
+
+def _add(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentParser:
+    for flag in flags:
+        parser.add_argument(flag, **OPTIONS[flag])
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The repro command-line argument parser."""
+    """The repro command-line parser: one subparser per command, each
+    holding only the flags its command reads."""
+
+    def group(*flags):
+        return _add(argparse.ArgumentParser(add_help=False), flags)
+
+    device = group("--device", "--seed")
+    search = group("--trials", "--method")
+    conv = group("--batch", "--in-channel", "--out-channel", "--size",
+                 "--kernel", "--stride", "--padding")
+    matrix = group("--n", "--k", "--m")
+    store = group("--store")
+    tune = group("--save", "--show-code", "--checkpoint", "--resume",
+                 "--workers", "--cache-dir", "--lint", "--prune-space",
+                 "--surrogate", "--screen-ratio", "--cluster",
+                 "--straggler-pct", "--tensorize")
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="FlexTensor reproduction: tune a tensor operator for a "
                     "simulated device.",
     )
-    parser.add_argument("operator",
-                        choices=["conv2d", "gemm", "gemv", "lint", "selfcheck",
-                                 "serve", "submit", "status", "lookup",
-                                 "tune-network"])
-    parser.add_argument("--device", default="V100", choices=sorted(DEVICES))
-    parser.add_argument("--trials", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--method", default="q",
-                        choices=["q", "p", "random-walk", "random-sample"])
-    parser.add_argument("--save", help="write the tuned schedule to a JSON file")
-    parser.add_argument("--show-code", action="store_true",
-                        help="print the generated Python kernel")
-    parser.add_argument("--checkpoint",
-                        help="JSONL checkpoint file for crash-safe tuning")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from the newest checkpoint snapshot")
-    parser.add_argument("--faults", action="store_true",
-                        help="selfcheck only: inject compile errors, hangs "
-                             "and flaky measurements into the run")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel evaluation workers (1 = exact "
-                             "bit-reproducible serial path)")
-    parser.add_argument("--cache-dir",
-                        help="directory of the persistent cross-run "
-                             "evaluation cache")
-    parser.add_argument("--parallel", action="store_true",
-                        help="selfcheck only: run the smoke tuners through "
-                             "the 4-worker batched engine")
-    parser.add_argument("--lint", action="store_true",
-                        help="tune: statically reject illegal points at zero "
-                             "measurement cost; selfcheck: run the linter "
-                             "soundness smoke plus ruff/mypy when installed")
-    parser.add_argument("--prune-space", action="store_true",
-                        help="drop knob values that alone violate a device "
-                             "limit before tuning starts")
-    parser.add_argument("--surrogate", action="store_true",
-                        help="tune: screen candidates through an online "
-                             "learned cost model so only the most promising "
-                             "fraction is actually measured; selfcheck: run "
-                             "the surrogate rank-quality smoke")
-    parser.add_argument("--screen-ratio", type=float, default=0.25,
-                        help="fraction of each ranked candidate batch "
-                             "forwarded to real measurement with --surrogate")
-    parser.add_argument("--cluster", action="store_true",
-                        help="tune: supervise the measurement workers "
-                             "(heartbeats, leases, speculative re-execution, "
-                             "health circuit breakers); selfcheck: run the "
-                             "chaos-determinism smoke against seeded node "
-                             "faults")
-    parser.add_argument("--straggler-pct", type=float, default=None,
-                        help="percentile of recent lease durations beyond "
-                             "which a running lease is speculatively "
-                             "re-executed (with --cluster; default 95)")
-    parser.add_argument("--serve", action="store_true",
-                        help="selfcheck only: run the tuning-service "
-                             "crash-recovery parity smoke (submit jobs from "
-                             "two tenants, hard-kill the daemon mid-run, "
-                             "restart, assert bit-identical outcomes)")
-    parser.add_argument("--store", default=".repro-serve",
-                        help="serve/submit/status/lookup: the service store "
-                             "directory (job WAL, checkpoints, records, "
-                             "eval cache)")
-    parser.add_argument("--tenant", default="anonymous",
-                        help="submit/lookup: tenant the job is billed to")
-    parser.add_argument("--op", default="gemm",
-                        choices=["conv2d", "gemm", "gemv"],
-                        help="submit/lookup: operator of the workload")
-    parser.add_argument("--priority", type=int, default=1, choices=[0, 1, 2],
-                        help="submit: priority lane (0=interactive, 1=batch, "
-                             "2=background)")
-    parser.add_argument("--ttl", type=float, default=None,
-                        help="submit: job TTL in simulated seconds")
-    parser.add_argument("--slice-trials", type=int, default=None,
-                        help="serve/tune-network: trials per scheduling "
-                             "slice (preemption grain; default: serve 2, "
-                             "tune-network the scheduler's own default)")
-    parser.add_argument("--max-slices", type=int, default=None,
-                        help="serve: stop after this many slices (default: "
-                             "run until idle)")
-    parser.add_argument("--max-queue", type=int, default=64,
-                        help="serve/submit: global bound on active jobs")
-    parser.add_argument("--max-crashes", type=int, default=3,
-                        help="serve: crashes before a job is quarantined")
-    parser.add_argument("--enqueue", action="store_true",
-                        help="lookup: enqueue a tuning job on a miss")
-    parser.add_argument("--network", default="yolo-v1",
-                        choices=["yolo-v1", "overfeat"],
-                        help="tune-network: which §6.6 network to tune")
-    parser.add_argument("--uniform", action="store_true",
-                        help="tune-network: flat identical per-layer budgets "
-                             "instead of the network task scheduler")
-    parser.add_argument("--sample", type=int, default=400,
-                        help="lint only: random points sampled per schedule "
-                             "space")
-    parser.add_argument("--target", default=None,
-                        choices=["gpu", "cpu", "fpga"],
-                        help="lint only: lint for this device family "
-                             "(overrides --device with the family's "
-                             "reference device)")
-    parser.add_argument("--tensorize", action="store_true",
-                        help="tune: add the tensorize knob when a registered "
-                             "intrinsic matches the computation; selfcheck: "
-                             "run the gemm-int8 match-and-parity smoke")
-    parser.add_argument("--lint-records", action="store_true",
-                        help="lint only: print every diagnostic, not just "
-                             "the per-rule summary")
-    # conv2d shape
-    parser.add_argument("--batch", type=int, default=1)
-    parser.add_argument("--in-channel", type=int, default=256)
-    parser.add_argument("--out-channel", type=int, default=512)
-    parser.add_argument("--size", type=int, default=28, help="height = width")
-    parser.add_argument("--kernel", type=int, default=3)
-    parser.add_argument("--stride", type=int, default=1)
-    parser.add_argument("--padding", type=int, default=None)
-    # gemm/gemv shape
-    parser.add_argument("--n", type=int, default=1024)
-    parser.add_argument("--k", type=int, default=1024)
-    parser.add_argument("--m", type=int, default=1024)
+    commands = parser.add_subparsers(dest="command", metavar="command",
+                                     required=True)
+
+    def command(name, func, help, parents, *flags):
+        sub = commands.add_parser(name, help=help, description=help,
+                                  parents=parents, allow_abbrev=False)
+        sub.set_defaults(func=func)
+        return _add(sub, flags)
+
+    command("conv2d", tune_command, "tune a 2-D convolution",
+            [device, search, conv, tune])
+    command("gemm", tune_command, "tune a matrix multiply",
+            [device, search, matrix, tune])
+    command("gemv", tune_command, "tune a matrix-vector product",
+            [device, search, tune], "--n", "--k")
+    command("lint", lint_command, "count statically illegal points in "
+            "sampled schedule spaces", [device, conv, matrix],
+            "--sample", "--target", "--lint-records")
+    check = command("selfcheck", selfcheck_command, "run an end-to-end smoke "
+                    "(default: every tuner on a small conv2d)", [device],
+                    "--trials", "--workers", "--cache-dir", "--straggler-pct",
+                    "--faults", "--parallel")
+    selectors = check.add_mutually_exclusive_group()
+    for name, smoke in SELFCHECKS.items():
+        selectors.add_argument(f"--{name}", dest="check", action="store_const",
+                               const=name, help=smoke.__doc__.splitlines()[0])
+    command("serve", serve_command, "drive the service until idle", [store],
+            "--workers", "--slice-trials", "--max-slices", "--max-queue",
+            "--max-crashes")
+    command("submit", submit_command, "submit one tuning job",
+            [device, search, store, conv, matrix],
+            "--tenant", "--op", "--priority", "--ttl", "--max-queue")
+    command("status", status_command, "print the service's job table", [store])
+    command("lookup", lookup_command, "answer a workload from the records",
+            [device, store, conv, matrix],
+            "--trials", "--tenant", "--op", "--enqueue")
+    command("tune-network", tune_network_command, "tune a whole §6.6 "
+            "network", [device, search, store],
+            "--batch", "--network", "--uniform", "--resume", "--slice-trials")
     return parser
 
 
-def build_operator(args):
-    """Instantiate the requested operator from parsed arguments."""
-    if args.operator == "conv2d":
-        padding = args.padding if args.padding is not None else args.kernel // 2
-        return conv2d_compute(
-            args.batch, args.in_channel, args.size, args.size,
-            args.out_channel, args.kernel, stride=args.stride, padding=padding,
-        )
-    if args.operator == "gemm":
-        return gemm_compute(args.n, args.k, args.m)
-    return gemv_compute(args.n, args.k)
+def operator_params(op: str, args) -> dict:
+    """Keyword arguments of ``OPERATORS[op]`` from the shape flags."""
+    if op == "conv2d":
+        return {
+            "batch": args.batch, "in_channel": args.in_channel,
+            "height": args.size, "width": args.size,
+            "out_channel": args.out_channel, "kernel": args.kernel,
+            "stride": args.stride,
+            "padding": args.kernel // 2 if args.padding is None else args.padding,
+        }
+    if op == "gemm":
+        return {"n": args.n, "k": args.k, "m": args.m}
+    return {"n": args.n, "k": args.k}
 
 
 #: Reference device of each lowering target for ``lint --target``.
@@ -197,9 +203,7 @@ def lint_command(args) -> int:
 
     ``--target`` lints a device family instead of a named device; with it,
     on cpu and gpu, the sample also covers a tensorize-enabled int8 gemm
-    space so the TEN rules (docs/tensorize.md) are exercised.  (Without
-    ``--target`` the workload list is unchanged, keeping default output
-    stable for existing scripts.)
+    space so the TEN rules (docs/tensorize.md) are exercised.
     """
     import numpy as np
 
@@ -211,18 +215,12 @@ def lint_command(args) -> int:
     if args.target is not None and target_of(device) != args.target:
         device = DEVICES[_TARGET_DEVICE[args.target]]
     target = target_of(device)
-    padding = args.padding if args.padding is not None else args.kernel // 2
     workloads = [
-        ("gemm", gemm_compute(args.n, args.k, args.m), False),
-        ("conv2d", conv2d_compute(
-            args.batch, args.in_channel, args.size, args.size,
-            args.out_channel, args.kernel, stride=args.stride, padding=padding,
-        ), False),
+        (op, OPERATORS[op](**operator_params(op, args)), False)
+        for op in ("gemm", "conv2d")
     ]
     if args.target in ("cpu", "gpu"):
-        workloads.append(
-            ("gemm-int8", gemm_int8_compute(args.n, args.k, args.m), True)
-        )
+        workloads.append(("gemm-int8", gemm_int8_compute(args.n, args.k, args.m), True))
     rng = np.random.default_rng(args.seed)
     total_illegal = 0
     for name, output, tensorize in workloads:
@@ -253,9 +251,54 @@ def lint_command(args) -> int:
     return 0
 
 
+# -- selfcheck smokes: each prints its report and returns a failure count ----
+
+
+def _check(name: str, ok: bool, detail: str, width: int = 13) -> int:
+    """Print one smoke line; 1 when the check failed."""
+    print(f"{name:>{width}}: {'ok' if ok else 'FAILED'}  {detail}")
+    return int(not ok)
+
+
+def robustness_smoke(args) -> int:
+    """Plain ``selfcheck``: every tuner must survive a short (optionally
+    fault-injected, optionally 4-worker) run on the conv2d smoke
+    workload."""
+    injector = measure = None
+    if args.faults:
+        injector = FaultInjector(
+            compile_error_rate=0.05, hang_rate=0.05,
+            transient_error_rate=0.3, jitter=0.05, seed=args.seed,
+        )
+        measure = MeasureConfig(timeout_seconds=0.5)
+    workers = 4 if args.parallel else max(1, args.workers)
+    output = conv2d_compute(1, 8, 8, 8, 16, 3, padding=1, name="smoke")
+    failures = 0
+    for method in ("q", "p", "random-walk", "random-sample"):
+        result = optimize(
+            output, DEVICES[args.device], trials=min(args.trials, 5),
+            method=method, seed=args.seed, fault_injector=injector,
+            measure_config=measure, workers=workers,
+            eval_cache=args.cache_dir or None,
+        )
+        counts = ", ".join(
+            f"{k}={v}" for k, v in sorted(result.tuning.status_counts.items())
+        )
+        failures += _check(method, result.found,
+                           f"best={result.gflops:8.1f} GFLOPS  [{counts}]")
+        if workers > 1 and result.tuning.throughput is not None:
+            t = result.tuning.throughput
+            print(f"{'':>13}  {t['points_per_simulated_second']:.1f} pts/s simulated, "
+                  f"cache hit rate {t['cache_hit_rate']:.0%}, "
+                  f"utilization {t['pool_utilization']:.0%}")
+    return failures
+
+
 def lint_smoke(args) -> int:
-    """``selfcheck --lint``: prove the linter sound against the model on
-    smoke workloads, then run ruff/mypy if (and only if) they are installed."""
+    """Prove the linter sound against the model, plus ruff/mypy if installed.
+
+    Sampled points the linter rejects on the smoke workloads must really
+    be invalid (a lowering failure or an invalid model time)."""
     import shutil
     import subprocess
 
@@ -276,11 +319,11 @@ def lint_smoke(args) -> int:
         ("conv2d", conv2d_compute(1, 32, 16, 16, 64, 3, padding=1, name="smoke")),
     ]
     rng = np.random.default_rng(args.seed)
-    unsound = 0
+    failures = 0
     for name, output in workloads:
         space = build_space(output, target)
         linter = ScheduleLinter(space.op, target, device)
-        rejected = 0
+        rejected = unsound = 0
         for _ in range(200):
             config = space.decode(space.random_point(rng))
             if not linter.errors(config):
@@ -290,8 +333,8 @@ def lint_smoke(args) -> int:
                 seconds = model.estimate_seconds(lower(output, config, target))
             except Exception:
                 continue  # lowering failure: the rejection is justified
-            if seconds < INVALID_TIME:
-                unsound += 1
+            unsound += seconds < INVALID_TIME
+        failures += unsound
         verdict = "ok" if unsound == 0 else f"UNSOUND x{unsound}"
         print(f"{name:>13}: {verdict}  ({rejected}/200 sampled points rejected)")
 
@@ -311,13 +354,12 @@ def lint_smoke(args) -> int:
         print(f"{tool:>13}: " + ("ok" if proc.returncode == 0 else "FAILED"))
         if proc.returncode != 0:
             print(proc.stdout or proc.stderr)
-            return 1
-    print("lint selfcheck " + ("passed" if unsound == 0 else "FAILED"))
-    return 1 if unsound else 0
+            failures += 1
+    return failures
 
 
 def tensorize_smoke(args) -> int:
-    """``selfcheck --tensorize``: the intrinsic tensorization smoke.
+    """Check the int8 gemm intrinsic: match, parity, proofs and billing.
 
     1. ``dot4_vnni`` statically matches int8 gemm on cpu;
     2. an accepted tensorization executes bit-identically to the same
@@ -335,13 +377,10 @@ def tensorize_smoke(args) -> int:
     from .schedule import LoweringError, NodeConfig, lower
     from .space import build_space
 
-    failures = 0
     output = gemm_int8_compute(64, 64, 64, name="tz_smoke")
     matched = matching_intrinsics(output.op, "cpu")
-    ok = matched == ("dot4_vnni",)
-    print(f"{'match':>13}: {'ok' if ok else 'FAILED'}  "
-          f"matching_intrinsics(gemm-int8, cpu) = {matched}")
-    failures += not ok
+    failures = _check("match", matched == ("dot4_vnni",),
+                      f"matching_intrinsics(gemm-int8, cpu) = {matched}")
 
     small = gemm_int8_compute(8, 8, 8, name="tz_parity")
     config = NodeConfig(
@@ -355,13 +394,10 @@ def tensorize_smoke(args) -> int:
         for name, array in random_inputs(small, seed=args.seed).items()
     }
     expected = execute_scheduled(plain, inputs)
-    parity = (
+    failures += _check("parity", (
         np.array_equal(execute_scheduled(tensorized, inputs), expected)
         and np.array_equal(run_generated(tensorized, inputs), expected)
-    )
-    print(f"{'parity':>13}: {'ok' if parity else 'FAILED'}  "
-          "(interpreter + generated kernel, bit-exact)")
-    failures += not parity
+    ), "(interpreter + generated kernel, bit-exact)")
 
     space = build_space(output, "cpu", tensorize=True)
     rng = np.random.default_rng(args.seed)
@@ -377,9 +413,8 @@ def tensorize_smoke(args) -> int:
         rejected += bool(rejections)
         accepted += not rejections
         broken += lowered == bool(rejections)
-    print(f"{'proofs':>13}: {'ok' if broken == 0 else f'FAILED x{broken}'}  "
-          f"({accepted} accepted, {rejected} rejected of 120 sampled)")
-    failures += broken > 0
+    failures += _check("proofs", broken == 0, f"({accepted} accepted, "
+                       f"{rejected} rejected of 120 sampled)")
 
     model = model_for(XEON_E5_2699V4)
     billing_cfg = NodeConfig(
@@ -390,21 +425,16 @@ def tensorize_smoke(args) -> int:
     tz_s = model.estimate_seconds(
         lower(output, billing_cfg.with_(tensorize="dot4_vnni"), "cpu")
     )
-    ok = tz_s < scalar_s
-    print(f"{'billing':>13}: {'ok' if ok else 'FAILED'}  "
-          f"({scalar_s * 1e6:.1f} us scalar vs {tz_s * 1e6:.1f} us tensorized)")
-    failures += not ok
-
-    print("tensorize selfcheck "
-          + ("passed" if failures == 0 else f"FAILED ({failures})"))
-    return 1 if failures else 0
+    return failures + _check("billing", tz_s < scalar_s, f"({scalar_s * 1e6:.1f} "
+                             f"us scalar vs {tz_s * 1e6:.1f} us tensorized)")
 
 
 def surrogate_smoke(args) -> int:
-    """``selfcheck --surrogate``: fit the learned cost model on sampled
-    points of the smoke workload and require positive rank correlation
-    (Spearman) on a held-out slice — proof the featurization carries
-    signal before anyone trusts it to screen a real run."""
+    """Require held-out rank correlation from the learned cost model.
+
+    Fits the surrogate on sampled points of the smoke workload and
+    requires positive Spearman correlation on a held-out slice — proof
+    the featurization carries signal before it screens a real run."""
     import numpy as np
 
     from .explore import SurrogateScreen, spearman
@@ -414,17 +444,13 @@ def surrogate_smoke(args) -> int:
     from .space import build_space
 
     device = DEVICES[args.device]
-    output = conv2d_compute(1, 8, 8, 8, 16, 3, padding=1, name="smoke")
-    graph = get_graph(output)
+    graph = get_graph(conv2d_compute(1, 8, 8, 8, 16, 3, padding=1, name="smoke"))
     space = build_space(graph, target_of(device))
     evaluator = Evaluator(graph, device, space=space)
     rng = np.random.default_rng(args.seed)
-    points, seen = [], set()
+    points: dict = {}  # 80 distinct points, in draw order
     while len(points) < 80:
-        point = space.random_point(rng)
-        if point not in seen:
-            seen.add(point)
-            points.append(point)
+        points[space.random_point(rng)] = None
     labelled = [(p, evaluator.evaluate(p)) for p in points]
     train, held_out = labelled[:60], labelled[60:]
 
@@ -434,12 +460,10 @@ def surrogate_smoke(args) -> int:
     predicted = screen.predict([p for p, _ in held_out])
     actual = [performance for _, performance in held_out]
     correlation = spearman([float(s) for s in predicted], actual)
-    ok = screen.ready and correlation > 0
     print(f"    surrogate: trained on {len(train)} points, "
           f"{len(held_out)} held out")
     print(f"  correlation: {correlation:.3f} (Spearman, held-out slice)")
-    print("surrogate selfcheck " + ("passed" if ok else "FAILED"))
-    return 0 if ok else 1
+    return 0 if screen.ready and correlation > 0 else 1
 
 
 def cluster_config(args, workers: int):
@@ -447,15 +471,13 @@ def cluster_config(args, workers: int):
     ``--straggler-pct`` applied when given."""
     from .runtime import ClusterConfig
 
-    config = ClusterConfig(workers=max(1, workers))
-    if args.straggler_pct is not None:
-        config.straggler_pct = args.straggler_pct
-    return config
+    pct = args.straggler_pct
+    return ClusterConfig(workers=max(1, workers),
+                         **({} if pct is None else {"straggler_pct": pct}))
 
 
 def cluster_smoke(args) -> int:
-    """``selfcheck --cluster``: chaos-determinism smoke of the supervised
-    measurement cluster.
+    """Check the supervised cluster stays deterministic under node faults.
 
     1. Every tuner must complete a short run through a 4-worker
        supervised cluster under seeded node faults (crashes, stale
@@ -468,73 +490,141 @@ def cluster_smoke(args) -> int:
     from .runtime import ClusterConfig, NodeFaultInjector
 
     output = conv2d_compute(1, 8, 8, 8, 16, 3, padding=1, name="smoke")
-    device = DEVICES[args.device]
-    trials = min(args.trials, 5)
     workers = 4
-    config = cluster_config(args, workers)
+
+    def run(method, cluster, node_faults=None):
+        return optimize(
+            output, DEVICES[args.device], trials=min(args.trials, 5),
+            method=method, seed=args.seed, workers=workers, cluster=cluster,
+            node_faults=node_faults,
+        )
+
     chaos = NodeFaultInjector(
         crash_rate=0.05, stale_rate=0.05, slow_rate=0.1, flaky_rate=0.1,
         seed=args.seed,
     )
     failures = 0
     for method in ("q", "p", "random-walk", "random-sample"):
-        result = optimize(
-            output, device, trials=trials, method=method, seed=args.seed,
-            workers=workers, cluster=config, node_faults=chaos,
-        )
+        result = run(method, cluster_config(args, workers), chaos)
         c = result.tuning.cluster
-        verdict = "ok" if result.found else "FAILED"
-        if not result.found:
-            failures += 1
-        print(f"{method:>13}: {verdict}  best={result.gflops:8.1f} GFLOPS  "
-              f"[leases={c['num_leases']} reassigned={c['num_reassigned']} "
-              f"speculative={c['num_speculative']} trips={c['num_breaker_trips']}]")
+        failures += _check(
+            method, result.found,
+            f"best={result.gflops:8.1f} GFLOPS  [leases={c['num_leases']} "
+            f"reassigned={c['num_reassigned']} speculative={c['num_speculative']} "
+            f"trips={c['num_breaker_trips']}]",
+        )
 
     # Chaos parity: fault-free cluster vs. a cluster whose workers 1-3
     # are fatally killed a few leases in — identical best schedule.
-    clean = optimize(
-        output, device, trials=trials, method="q", seed=args.seed,
-        workers=workers, cluster=ClusterConfig(workers=workers),
-    )
-    doomed = optimize(
-        output, device, trials=trials, method="q", seed=args.seed,
-        workers=workers, cluster=ClusterConfig(workers=workers),
-        node_faults=NodeFaultInjector(
-            seed=args.seed, dead_after={1: 3, 2: 3, 3: 3},
-        ),
-    )
+    clean = run("q", ClusterConfig(workers=workers))
+    doomed = run("q", ClusterConfig(workers=workers), NodeFaultInjector(
+        seed=args.seed, dead_after={1: 3, 2: 3, 3: 3},
+    ))
     parity = (
         doomed.tuning.best_point == clean.tuning.best_point
         and doomed.tuning.best_performance == clean.tuning.best_performance
         and doomed.tuning.num_measurements == clean.tuning.num_measurements
     )
-    alive = doomed.tuning.cluster["alive"]
-    print(f"{'chaos parity':>13}: {'ok' if parity else 'FAILED'}  "
-          f"({alive}/{workers} workers survived; best "
-          f"{doomed.gflops:.1f} vs {clean.gflops:.1f} GFLOPS)")
-    if not parity:
-        failures += 1
-    print("cluster selfcheck "
-          + ("passed" if failures == 0 else f"FAILED ({failures})"))
+    return failures + _check(
+        "chaos parity", parity,
+        f"({doomed.tuning.cluster['alive']}/{workers} workers survived; best "
+        f"{doomed.gflops:.1f} vs {clean.gflops:.1f} GFLOPS)",
+    )
+
+
+def serve_smoke(args) -> int:
+    """Check the tuning service's outcomes survive hard daemon kills.
+
+    Submits four jobs from two tenants, runs one service to completion
+    (the reference), then replays the identical submissions twice with a
+    scripted hard kill of the daemon mid-run — once in the
+    checkpoint-ahead-of-WAL commit window, once right after a RUNNING
+    transition — restarts on the same store, and requires every job to
+    finish with the bit-identical best schedule, trial count and
+    measurement count as the uninterrupted run.
+    """
+    import tempfile
+
+    from .serve import DaemonKilled, ServeChaos, ServeConfig, TuningService
+
+    config = ServeConfig(slice_trials=2, workers=max(1, args.workers))
+    conv = {"batch": 1, "in_channel": 4, "height": 8, "width": 8,
+            "out_channel": 8, "kernel": 3, "padding": 1}
+    jobs = (  # tenant, operator, params, seed offset, method
+        ("alice", "gemm", {"n": 8, "k": 8, "m": 8}, 0, "q"),
+        ("bob", "gemm", {"n": 16, "k": 8, "m": 8}, 1, "p"),
+        ("alice", "conv2d", conv, 0, "random-walk"),
+        ("bob", "gemm", {"n": 8, "k": 8, "m": 8}, 2, "random-sample"),
+    )
+
+    def submit_all(service):
+        for tenant, op, params, offset, method in jobs:
+            service.submit(tenant, op, params, args.device,
+                           trials=min(args.trials, 4), seed=args.seed + offset,
+                           method=method)
+
+    def outcomes(service):
+        return {
+            job.job_id: (job.state.value, job.trials_done, job.best_gflops,
+                         job.best_point, job.num_measurements)
+            for job in service.store.jobs.values()
+        }
+
+    with tempfile.TemporaryDirectory() as store:
+        reference = TuningService(store, config)
+        submit_all(reference)
+        slices = reference.run()
+        expected = outcomes(reference)
+    print(f"    reference: {len(expected)} jobs done in {slices} slices")
+
+    failures = 0
+    for label, chaos in (
+        ("commit-window kill", ServeChaos(kill_at_slice=3)),
+        ("pre-slice kill", ServeChaos(kill_before_run=2)),
+    ):
+        with tempfile.TemporaryDirectory() as store:
+            doomed = TuningService(store, config, chaos=chaos)
+            submit_all(doomed)
+            killed = False
+            try:
+                doomed.run()
+            except DaemonKilled:
+                killed = True
+            restarted = TuningService(store, config)
+            restarted.run()
+            failures += _check(
+                label, killed and outcomes(restarted) == expected,
+                f"(recovered {len(restarted.recovered_jobs)} in-flight, "
+                f"{restarted.stats()['by_state']})", width=18,
+            )
+    return failures
+
+
+#: ``selfcheck --<name>`` smokes; the first docstring line of each is its
+#: selector flag's help.  Plain ``selfcheck`` runs :func:`robustness_smoke`.
+SELFCHECKS = {
+    "lint": lint_smoke, "tensorize": tensorize_smoke,
+    "surrogate": surrogate_smoke, "cluster": cluster_smoke,
+    "serve": serve_smoke,
+}
+
+
+def selfcheck_command(args) -> int:
+    """Run the selected smoke, print its verdict, and exit nonzero when
+    it counted any failure."""
+    smoke = SELFCHECKS[args.check] if args.check else robustness_smoke
+    failures = smoke(args)
+    label = f"{args.check} selfcheck" if args.check else "selfcheck"
+    print(f"{label} " + ("passed" if failures == 0 else f"FAILED ({failures})"))
     return 1 if failures else 0
 
 
-def _serve_params(args) -> dict:
-    """Workload parameters of ``--op`` from the shared shape arguments."""
-    if args.op == "conv2d":
-        padding = args.padding if args.padding is not None else args.kernel // 2
-        return {
-            "batch": args.batch, "in_channel": args.in_channel,
-            "height": args.size, "width": args.size,
-            "out_channel": args.out_channel, "kernel": args.kernel,
-            "stride": args.stride, "padding": padding,
-        }
-    if args.op == "gemm":
-        return {"n": args.n, "k": args.k, "m": args.m}
-    return {"n": args.n, "k": args.k}
+# -- tuning service -----------------------------------------------------------
 
 
 def _serve_service(args, require_store: bool = False):
+    """The service on ``--store``, configured by the service flags the
+    command takes; None when ``require_store`` and the store is missing."""
     from pathlib import Path
 
     from .serve import ServeConfig, TuningService
@@ -542,12 +632,11 @@ def _serve_service(args, require_store: bool = False):
     if require_store and not Path(args.store).exists():
         print(f"no service store at {args.store}")
         return None
-    config = ServeConfig(
-        slice_trials=2 if args.slice_trials is None else args.slice_trials,
-        workers=max(1, args.workers),
-        max_queue=args.max_queue,
-        max_crashes=args.max_crashes,
-    )
+    config = ServeConfig(**{
+        key: getattr(args, key)
+        for key in ("slice_trials", "workers", "max_queue", "max_crashes")
+        if getattr(args, key, None) is not None
+    })
     return TuningService(args.store, config)
 
 
@@ -579,7 +668,7 @@ def submit_command(args) -> int:
 
     service = _serve_service(args)
     job = service.submit(
-        args.tenant, args.op, _serve_params(args), args.device,
+        args.tenant, args.op, operator_params(args.op, args), args.device,
         trials=args.trials, seed=args.seed, method=args.method,
         priority=args.priority, ttl_seconds=args.ttl,
     )
@@ -606,7 +695,7 @@ def lookup_command(args) -> int:
     service = _serve_service(args, require_store=True)
     if service is None:
         return 1
-    params = _serve_params(args)
+    params = operator_params(args.op, args)
     record = service.lookup(
         args.op, params, args.device, tenant=args.tenant,
         enqueue=args.enqueue, trials=args.trials, seed=args.seed,
@@ -633,20 +722,16 @@ def tune_network_command(args) -> int:
     from .serve.service import EVALCACHE_DIRNAME, RECORDS_FILENAME
 
     network = {"yolo-v1": yolo_v1, "overfeat": overfeat}[args.network](args.batch)
-    device = DEVICES[args.device]
     store = Path(args.store)
     store.mkdir(parents=True, exist_ok=True)
     result = tune_network(
-        network, device, trials=args.trials, method=args.method, seed=args.seed,
-        allocate=not args.uniform,
-        records=store / RECORDS_FILENAME,
-        eval_cache=store / EVALCACHE_DIRNAME,
+        network, DEVICES[args.device], trials=args.trials, method=args.method,
+        seed=args.seed, allocate=not args.uniform,
+        records=store / RECORDS_FILENAME, eval_cache=store / EVALCACHE_DIRNAME,
         checkpoint_dir=store / "network-checkpoints" / args.network,
         resume=args.resume,
-        **(
-            {"slice_trials": args.slice_trials}
-            if not args.uniform and args.slice_trials is not None else {}
-        ),
+        **({"slice_trials": args.slice_trials}
+           if not args.uniform and args.slice_trials is not None else {}),
     )
     print(result.summary())
     if not result.found:
@@ -655,117 +740,7 @@ def tune_network_command(args) -> int:
     return 0
 
 
-def serve_smoke(args) -> int:
-    """``selfcheck --serve``: crash-recovery parity of the tuning service.
-
-    Submits four jobs from two tenants, runs one service to completion
-    (the reference), then replays the identical submissions twice with a
-    scripted hard kill of the daemon mid-run — once in the
-    checkpoint-ahead-of-WAL commit window, once right after a RUNNING
-    transition — restarts on the same store, and requires every job to
-    finish with the bit-identical best schedule, trial count and
-    measurement count as the uninterrupted run.
-    """
-    import tempfile
-
-    from .serve import DaemonKilled, ServeChaos, ServeConfig, TuningService
-
-    config = ServeConfig(slice_trials=2, workers=max(1, args.workers))
-    trials = min(args.trials, 4)
-
-    def submit_all(service):
-        service.submit("alice", "gemm", {"n": 8, "k": 8, "m": 8},
-                       args.device, trials=trials, seed=args.seed, method="q")
-        service.submit("bob", "gemm", {"n": 16, "k": 8, "m": 8},
-                       args.device, trials=trials, seed=args.seed + 1, method="p")
-        service.submit("alice", "conv2d",
-                       {"batch": 1, "in_channel": 4, "height": 8, "width": 8,
-                        "out_channel": 8, "kernel": 3, "padding": 1},
-                       args.device, trials=trials, seed=args.seed,
-                       method="random-walk")
-        service.submit("bob", "gemm", {"n": 8, "k": 8, "m": 8},
-                       args.device, trials=trials, seed=args.seed + 2,
-                       method="random-sample")
-
-    def outcomes(service):
-        return {
-            job.job_id: (job.state.value, job.trials_done, job.best_gflops,
-                         job.best_point, job.num_measurements)
-            for job in service.store.jobs.values()
-        }
-
-    with tempfile.TemporaryDirectory() as store:
-        reference = TuningService(store, config)
-        submit_all(reference)
-        slices = reference.run()
-        expected = outcomes(reference)
-    print(f"    reference: {len(expected)} jobs done in {slices} slices")
-
-    failures = 0
-    for label, chaos in (
-        ("commit-window kill", ServeChaos(kill_at_slice=3)),
-        ("pre-slice kill", ServeChaos(kill_before_run=2)),
-    ):
-        with tempfile.TemporaryDirectory() as store:
-            doomed = TuningService(store, config, chaos=chaos)
-            submit_all(doomed)
-            killed = False
-            try:
-                doomed.run()
-            except DaemonKilled:
-                killed = True
-            restarted = TuningService(store, config)
-            restarted.run()
-            parity = killed and outcomes(restarted) == expected
-            if not parity:
-                failures += 1
-            print(f"{label:>18}: {'ok' if parity else 'FAILED'}  "
-                  f"(recovered {len(restarted.recovered_jobs)} in-flight, "
-                  f"{restarted.stats()['by_state']})")
-    print("serve selfcheck "
-          + ("passed" if failures == 0 else f"FAILED ({failures})"))
-    return 1 if failures else 0
-
-
-def selfcheck(args) -> int:
-    """End-to-end robustness smoke: every tuner must survive a short
-    (optionally fault-injected) run on the conv2d smoke workload."""
-    output = conv2d_compute(1, 8, 8, 8, 16, 3, padding=1, name="smoke")
-    device = DEVICES[args.device]
-    injector = None
-    measure = None
-    if args.faults:
-        injector = FaultInjector(
-            compile_error_rate=0.05,
-            hang_rate=0.05,
-            transient_error_rate=0.3,
-            jitter=0.05,
-            seed=args.seed,
-        )
-        measure = MeasureConfig(timeout_seconds=0.5)
-    trials = min(args.trials, 5)
-    workers = 4 if args.parallel else max(1, args.workers)
-    failures = 0
-    for method in ("q", "p", "random-walk", "random-sample"):
-        result = optimize(
-            output, device, trials=trials, method=method, seed=args.seed,
-            fault_injector=injector, measure_config=measure,
-            workers=workers, eval_cache=args.cache_dir or None,
-        )
-        counts = ", ".join(
-            f"{k}={v}" for k, v in sorted(result.tuning.status_counts.items())
-        )
-        verdict = "ok" if result.found else "FAILED"
-        if not result.found:
-            failures += 1
-        print(f"{method:>13}: {verdict}  best={result.gflops:8.1f} GFLOPS  [{counts}]")
-        if workers > 1 and result.tuning.throughput is not None:
-            t = result.tuning.throughput
-            print(f"{'':>13}  {t['points_per_simulated_second']:.1f} pts/s simulated, "
-                  f"cache hit rate {t['cache_hit_rate']:.0%}, "
-                  f"utilization {t['pool_utilization']:.0%}")
-    print("selfcheck " + ("passed" if failures == 0 else f"FAILED ({failures} tuners)"))
-    return 1 if failures else 0
+# -- operator tuning ----------------------------------------------------------
 
 
 def measurement_health_report(tuning) -> str:
@@ -795,37 +770,12 @@ def measurement_health_report(tuning) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    """CLI entry point: tune, print, optionally save the schedule."""
-    args = build_parser().parse_args(argv)
-    if args.operator == "lint":
-        return lint_command(args)
-    if args.operator == "serve":
-        return serve_command(args)
-    if args.operator == "submit":
-        return submit_command(args)
-    if args.operator == "status":
-        return status_command(args)
-    if args.operator == "lookup":
-        return lookup_command(args)
-    if args.operator == "tune-network":
-        return tune_network_command(args)
-    if args.operator == "selfcheck":
-        if args.lint:
-            return lint_smoke(args)
-        if args.tensorize:
-            return tensorize_smoke(args)
-        if args.surrogate:
-            return surrogate_smoke(args)
-        if args.cluster:
-            return cluster_smoke(args)
-        if args.serve:
-            return serve_smoke(args)
-        return selfcheck(args)
-    output = build_operator(args)
-    device = DEVICES[args.device]
+def tune_command(args) -> int:
+    """Tune one operator, print the result, optionally save the schedule."""
     result = optimize(
-        output, device, trials=args.trials, method=args.method, seed=args.seed,
+        OPERATORS[args.command](**operator_params(args.command, args)),
+        DEVICES[args.device],
+        trials=args.trials, method=args.method, seed=args.seed,
         checkpoint=args.checkpoint, resume=args.resume,
         workers=args.workers, eval_cache=args.cache_dir or None,
         lint=args.lint, prune_space=args.prune_space,
@@ -833,9 +783,7 @@ def main(argv=None) -> int:
         cluster=args.cluster and cluster_config(args, args.workers),
         tensorize=args.tensorize,
     )
-    print(result.summary())
-    print()
-    print(measurement_health_report(result.tuning))
+    print(f"{result.summary()}\n\n{measurement_health_report(result.tuning)}")
     if not result.found:
         # Exit-code contract: a tune that found no valid schedule is a
         # failure — scripts and CI must never mistake it for success.
@@ -859,21 +807,20 @@ def main(argv=None) -> int:
             f"utilization {throughput['pool_utilization']:.0%}"
         )
     if args.show_code:
-        print()
-        print(result.generated_code())
+        print(f"\n{result.generated_code()}")
     if args.save:
-        save_schedule(
-            args.save,
-            result.config,
-            result.graph_config,
-            metadata={
-                "operator": args.operator,
-                "device": args.device,
-                "gflops": result.gflops,
-            },
-        )
+        save_schedule(args.save, result.config, result.graph_config, metadata={
+            "operator": args.command, "device": args.device,
+            "gflops": result.gflops,
+        })
         print(f"\nschedule saved to {args.save}")
     return 0
+
+
+def main(argv=None) -> int:
+    """CLI entry point: parse, then run the chosen command."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -113,7 +113,7 @@ class AutoTVMTuner(BaseTuner):
         for trial in range(trials):
             batch = self._propose_batch(trial)
             for point in batch:
-                if point not in self.visited:
+                if point not in self.evaluated:
                     self._evaluate(point)
             if trial + 1 >= self.warmup_batches and self.evaluated:
                 x = np.stack([self.space.features(p) for p in self.evaluated])
@@ -127,7 +127,7 @@ class AutoTVMTuner(BaseTuner):
 
     def _propose_batch(self, trial: int) -> List[Point]:
         pool = {self.space.random_point(self.rng) for _ in range(self.pool_size)}
-        pool = [p for p in pool if p not in self.visited]
+        pool = [p for p in pool if p not in self.evaluated]
         if not pool:
             return []
         if trial < self.warmup_batches or not self.model.is_fitted:

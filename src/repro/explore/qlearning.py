@@ -12,7 +12,7 @@ copy ``Y`` and optimized by AdaDelta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Container, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +69,8 @@ class QAgent:
     # -- acting -----------------------------------------------------------
 
     def choose_direction(
-        self, point: Point, visited: set, rng: Optional[np.random.Generator] = None
+        self, point: Point, visited: Container[Point],
+        rng: Optional[np.random.Generator] = None,
     ) -> Optional[Tuple[int, Point]]:
         """Pick the best unvisited direction from ``point`` by Q-value
         (epsilon-greedy); None if every neighbor was already visited."""
@@ -88,7 +89,7 @@ class QAgent:
     def choose_directions(
         self,
         points: Sequence[Point],
-        visited: set,
+        visited: Container[Point],
         rng: Optional[np.random.Generator] = None,
     ) -> List[Optional[Tuple[int, Point]]]:
         """Batched direction choice for many walk heads at once.

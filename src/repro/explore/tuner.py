@@ -15,7 +15,7 @@ comparable (Figures 6d and 7).
 The shared :meth:`BaseTuner.tune` loop is fault tolerant: it degrades
 gracefully when the evaluator reports a poisoned neighborhood (high
 recent error rate) and can periodically checkpoint its full state —
-H set, visited set, RNG, Q-network — so a killed run resumes exactly
+H set, RNG, Q-network — so a killed run resumes exactly
 where it stopped (``docs/robustness.md``).
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class BaseTuner:
         self.num_starting_points = num_starting_points
         self.rng = np.random.default_rng(seed)
         self.evaluated: Dict[Point, float] = {}
-        self.visited: Set[Point] = set()
         self.seed_points: List[Point] = list(seed_points or [])
         # Batched evaluation engine (repro.runtime.parallel).  ``None``
         # and ``workers=1`` both take the exact serial evaluation path;
@@ -127,7 +126,7 @@ class BaseTuner:
         """Evaluate candidates (through the engine when one is attached)
         and fold them into the H set.  With no engine — or ``workers=1``
         — this is byte-for-byte the pre-engine serial loop: evaluation
-        consumes no tuner RNG and H/visited updates commute with it, so
+        consumes no tuner RNG and H updates commute with it, so
         collect-then-batch trials stay bit-identical."""
         if not points:
             return []
@@ -137,7 +136,6 @@ class BaseTuner:
             performances = [self.evaluator.evaluate(p) for p in points]
         for point, performance in zip(points, performances):
             self.evaluated[point] = performance
-            self.visited.add(point)
         return performances
 
     def _seed(self, num_seeds: int) -> None:
@@ -272,7 +270,6 @@ class BaseTuner:
         state = {
             "rng": self.rng.bit_generator.state,
             "evaluated": [[list(p), perf] for p, perf in self.evaluated.items()],
-            "visited": [list(p) for p in sorted(self.visited)],
             "evaluator": self.evaluator.get_state(),
         }
         if self.engine is not None and self.engine.surrogate is not None:
@@ -290,8 +287,9 @@ class BaseTuner:
     def set_state(self, state: Dict) -> None:
         """Restore a snapshot produced by :meth:`get_state`."""
         self.rng.bit_generator.state = state["rng"]
+        # Snapshots written before the visited set was dropped still
+        # carry a "visited" key; it always equalled the H set's keys.
         self.evaluated = {tuple(p): perf for p, perf in state["evaluated"]}
-        self.visited = {tuple(p) for p in state["visited"]}
         self.evaluator.set_state(state["evaluator"])
         if (
             self.engine is not None
@@ -350,7 +348,7 @@ class FlexTensorTuner(BaseTuner):
             # continuing from the freshly evaluated neighbor.
             current = start
             for _step in range(steps):
-                choice = self.agent.choose_direction(current, self.visited, self.rng)
+                choice = self.agent.choose_direction(current, self.evaluated, self.rng)
                 if choice is None:
                     break
                 direction, neighbor = choice
@@ -382,7 +380,7 @@ class FlexTensorTuner(BaseTuner):
             if not active:
                 break
             choices = self.agent.choose_directions(
-                [heads[i] for i in active], self.visited, self.rng
+                [heads[i] for i in active], self.evaluated, self.rng
             )
             moves = [
                 (i, choice[0], choice[1])
@@ -423,19 +421,17 @@ class PMethodTuner(BaseTuner):
         starts = select_starting_points(
             self.evaluated, self.num_starting_points, self.gamma, self.rng
         )
-        # Collect every unvisited direction of every start, then submit
-        # the whole trial as one batch.  Marking visited at collection
-        # reproduces the serial membership checks exactly (a neighbor
-        # shared by two starts is collected once, in the same position
-        # the serial loop would have evaluated it).
-        batch: List[Point] = []
+        # Collect every unevaluated direction of every start, then submit
+        # the whole trial as one batch.  The batch is an insertion-ordered
+        # set, which reproduces the serial membership checks exactly (a
+        # neighbor shared by two starts is collected once, in the same
+        # position the serial loop would have evaluated it).
+        batch: Dict[Point, None] = {}
         for start in starts:
             for _direction, neighbor in self.space.neighbors(start):
-                if neighbor in self.visited:
-                    continue
-                self.visited.add(neighbor)
-                batch.append(neighbor)
-        self._evaluate_batch(batch)
+                if neighbor not in self.evaluated:
+                    batch.setdefault(neighbor)
+        self._evaluate_batch(list(batch))
 
 
 class RandomWalkTuner(BaseTuner):
@@ -449,20 +445,20 @@ class RandomWalkTuner(BaseTuner):
         starts = select_starting_points(
             self.evaluated, self.num_starting_points, self.gamma, self.rng
         )
-        # One random unvisited direction per start, drawn in start order
-        # (evaluation consumes no tuner RNG, so collect-then-batch makes
-        # the same draws the serial loop made), submitted as one batch.
+        # One random unevaluated direction per start, drawn in start
+        # order (evaluation consumes no tuner RNG, so collect-then-batch
+        # makes the same draws the serial loop made), submitted as one
+        # batch; a neighbor already in the batch counts as evaluated.
         batch: List[Point] = []
         for start in starts:
             options = [
                 (d, nb)
                 for d, nb in self.space.neighbors(start)
-                if nb not in self.visited
+                if nb not in self.evaluated and nb not in batch
             ]
             if not options:
                 continue
             _direction, neighbor = options[int(self.rng.integers(len(options)))]
-            self.visited.add(neighbor)
             batch.append(neighbor)
         self._evaluate_batch(batch)
 

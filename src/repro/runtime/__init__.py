@@ -23,7 +23,6 @@ from .fault import (
 from .measure import (
     Evaluator,
     MeasureConfig,
-    MeasureRecord,
     MeasureResult,
     MeasureStatus,
     op_signature_of,
@@ -47,7 +46,6 @@ __all__ = [
     "InjectedHang",
     "InjectedRuntimeError",
     "MeasureConfig",
-    "MeasureRecord",
     "MeasureResult",
     "MeasureStatus",
     "NodeFault",

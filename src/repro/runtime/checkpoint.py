@@ -1,7 +1,7 @@
 """Crash-safe checkpointing of tuner state (JSONL, atomic replace).
 
 A tuning run is hours of simulated (or real) measurements; losing the
-H set, the visited set, and the Q-network to a crash means paying for
+H set and the Q-network to a crash means paying for
 them again.  A checkpoint file holds one JSON snapshot per line, newest
 last, written by :meth:`JsonlLog.rewrite` so a kill at any instant
 leaves either the old file or the new one, never a torn write.

@@ -153,10 +153,6 @@ class MeasureResult:
         )
 
 
-#: Backwards-compatible alias: the seed called the record type MeasureRecord.
-MeasureRecord = MeasureResult
-
-
 @dataclass
 class MeasureConfig:
     """Timeout / retry / quarantine policy of the measurement pipeline.

@@ -116,14 +116,15 @@ class BatchEngine:
             return False
         return not self.cluster.any_available(self.evaluator.clock)
 
-    def _measure(self, points: Sequence[Point]) -> List[float]:
+    def _measure(self, points: Sequence[Point], probed: bool = False) -> List[float]:
         """The one measurement dispatch: the serial loop with one worker
         (or a fully degraded cluster), otherwise one batched run billed
-        by LPT or by the cluster supervisor."""
+        by LPT or by the cluster supervisor.  ``probed`` says every point
+        already missed :meth:`_probe`, so the batched run skips its own."""
         if self.cluster_degraded():
             self.cluster.mark_degraded()
         elif self.workers > 1:
-            return self._evaluate_parallel(points)
+            return self._evaluate_parallel(points, probed)
         return self._evaluate_serial(points)
 
     def _probe(
@@ -205,7 +206,7 @@ class BatchEngine:
         forward_points = [candidates[position][1] for position in decision.forward]
         records_before = len(ev.records)
         if forward_points:
-            performances = self._measure(forward_points)
+            performances = self._measure(forward_points, probed=True)
             for position, performance in zip(decision.forward, performances):
                 results[candidates[position][0]] = performance
         # Online training: every measurement this batch actually ran.
@@ -218,14 +219,19 @@ class BatchEngine:
         )
         return results
 
-    def _evaluate_parallel(self, points: Sequence[Point]) -> List[float]:
+    def _evaluate_parallel(
+        self, points: Sequence[Point], probed: bool = False
+    ) -> List[float]:
         ev = self.evaluator
         results: List[Optional[float]] = [None] * len(points)
-        # 1. Probe, then dedup the misses by canonical key so one
-        #    measurement covers every equivalent submission in the batch.
+        # 1. Probe (unless the caller just did: nothing is measured in
+        #    between, so a second probe could only miss again), then dedup
+        #    the misses by canonical key so one measurement covers every
+        #    equivalent submission in the batch.
         jobs: List[Tuple[Point, List[int]]] = []
         job_by_key: Dict[Point, int] = {}
-        for i, point in self._probe(points, results):
+        misses = enumerate(points) if probed else self._probe(points, results)
+        for i, point in misses:
             key = ev.canonical_key(point)
             existing = job_by_key.get(key)
             if existing is not None:

@@ -220,6 +220,28 @@ class TestLegacySnapshotKeys:
         assert resumed.tuning.surrogate == full.tuning.surrogate
         assert resumed.config == full.config
 
+    @pytest.mark.parametrize("method,workers", [
+        ("q", 1), ("p", 1), ("random-walk", 4), ("q", 4),
+    ])
+    def test_visited_key_is_ignored(self, tmp_path, method, workers):
+        """Snapshots used to store a visited set beside the H set (always
+        equal to its keys); one that still carries it resumes unchanged."""
+        path = tmp_path / "visited.ckpt"
+        out = smoke_output()
+        options = dict(seed=3, method=method, workers=workers)
+        full = optimize(out, V100, trials=8, **options)
+        optimize(out, V100, trials=4, checkpoint=path, **options)
+        snapshot = load_checkpoint(path)
+        state = snapshot["state"]
+        assert "visited" not in state
+        state["visited"] = sorted(p for p, _ in state["evaluated"])
+        save_checkpoint(path, snapshot)
+        resumed = optimize(
+            out, V100, trials=8, checkpoint=path, resume=True, **options
+        )
+        assert digest(resumed.tuning) == digest(full.tuning)
+        assert resumed.config == full.config
+
     def test_network_plan_reason_gain_resumes_as_warm(self, tmp_path):
         from repro.nn import NetworkChaos, NetworkKilled
 

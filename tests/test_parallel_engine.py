@@ -317,3 +317,52 @@ class TestBatchEngine:
 
         assert mode(1) == "serial"
         assert mode(4) == "batched"
+
+
+class TestScreenedBatchProbe:
+    """Screened batches at ``workers>1`` probe each candidate once: the
+    batched measurement takes the screen's forwarded candidates as
+    already probed."""
+
+    @staticmethod
+    def run(tmp_path, monkeypatch, reprobe):
+        from repro.runtime.cache import EvalCache
+
+        if reprobe:  # the double-probe reference: re-probe forwarded points
+            parallel = BatchEngine._evaluate_parallel
+            monkeypatch.setattr(
+                BatchEngine, "_evaluate_parallel",
+                lambda self, points, probed=False: parallel(self, points),
+            )
+        engines, gets = [], []
+        init, get = BatchEngine.__init__, EvalCache.get
+
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            engines.append(self)
+
+        def spy_get(self, *args):
+            gets.append(args)
+            return get(self, *args)
+
+        monkeypatch.setattr(BatchEngine, "__init__", spy_init)
+        monkeypatch.setattr(EvalCache, "get", spy_get)
+        result = optimize(
+            gemm_compute(32, 32, 32), V100, trials=6, seed=0, workers=4,
+            surrogate=True, screen_ratio=0.2,
+            eval_cache=tmp_path / ("reprobe" if reprobe else "once"),
+        )
+        monkeypatch.undo()
+        ev = engines[0].evaluator
+        rows = [(r.status.value, r.point, r.clock.hex(), r.performance)
+                for r in ev.records]
+        return len(gets), rows, ev.clock.hex(), result.tuning.best_point
+
+    def test_forwarded_candidates_probed_once(self, tmp_path, monkeypatch):
+        calls, rows, clock, best = self.run(tmp_path, monkeypatch, False)
+        ref_calls, ref_rows, ref_clock, ref_best = self.run(
+            tmp_path, monkeypatch, True
+        )
+        # 94 candidates probed; the 43 forwarded were probed twice before.
+        assert (calls, ref_calls, len(rows)) == (94, 137, 43)
+        assert (rows, clock, best) == (ref_rows, ref_clock, ref_best)

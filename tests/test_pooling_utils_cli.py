@@ -1,12 +1,16 @@
 """Tests for the pooling extension operators, serialization, and the CLI."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.__main__ as cli
 from repro.codegen import execute_reference, execute_scheduled, random_inputs
 from repro.model import V100
 from repro.ops import (
@@ -133,3 +137,97 @@ class TestCli:
             capture_output=True, text=True,
         )
         assert result.returncode != 0
+
+
+# -- documented command lines ----------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMAND = re.compile(r"^(?:#\s*or:\s*)?(?:PYTHONPATH=\S+\s+)?python -m repro\s+(.*)$")
+
+
+def _logical_lines(text):
+    """Lines of ``text`` with trailing-backslash continuations joined."""
+    lines, pending = [], ""
+    for line in text.splitlines():
+        if line.rstrip().endswith("\\"):
+            pending += line.rstrip()[:-1] + " "
+            continue
+        lines.append(pending + line)
+        pending = ""
+    return lines
+
+
+def _commands_in(text, env=None):
+    """argv lists of the ``python -m repro`` lines in ``text``, with
+    ``$NAME`` expanded from ``env`` (names not in it stay literal)."""
+    found = []
+    for line in _logical_lines(text):
+        match = COMMAND.match(line.strip())
+        if match is None:
+            continue
+        args = re.sub(r"\$(\w+)", lambda m: (env or {}).get(m[1], m[0]), match[1])
+        found.append(shlex.split(args, comments=True))
+    return found
+
+
+def _ci_commands():
+    """Command lines of ci.yml, each step's shell variables expanded from
+    the assignments in that step."""
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    commands = []
+    for step in re.split(r"^\s*- name:", text, flags=re.M):
+        env = {}
+        for line in step.splitlines():
+            assign = re.match(r"^\s*(?:run:\s*)?([A-Z_]+)=(.*)$", line)
+            if assign:
+                env[assign[1]] = shlex.split(assign[2])[0]
+        commands += _commands_in(step.replace("run:", "\n"), env)
+    return commands
+
+
+def documented_commands():
+    """Every ``python -m repro`` line in the README, docs/*.md, the CLI
+    module docstring and the CI workflow, in that order."""
+    commands = []
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        commands += _commands_in(path.read_text())
+    return commands + _commands_in(cli.__doc__) + _ci_commands()
+
+
+class TestCliParser:
+    def test_documented_command_lines_found(self):
+        assert len(documented_commands()) > 40
+        assert _commands_in(cli.__doc__)[0] == [
+            "conv2d", "--device", "V100", "--in-channel", "256",
+            "--out-channel", "512", "--size", "28", "--kernel", "3",
+            "--trials", "40",
+        ]
+        assert ["lookup", "--store", "$RUNNER_TEMP/serve-store", "--op", "gemm",
+                "--n", "16", "--k", "16", "--m", "16"] in _ci_commands()
+
+    @pytest.mark.parametrize("argv", documented_commands(), ids=" ".join)
+    def test_documented_command_line_parses(self, argv):
+        cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["tune-network", "--workers", "4"],
+        ["status", "--surrogate"],
+        ["lint", "--trials", "3"],
+        ["gemv", "--m", "7"],
+        ["selfcheck", "--lint", "--serve"],
+        ["--device", "V100", "gemm"],
+    ], ids=" ".join)
+    def test_foreign_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_every_selfcheck_has_a_selector_flag(self):
+        parser = cli.build_parser()
+        assert set(cli.SELFCHECKS) == {
+            "lint", "tensorize", "surrogate", "cluster", "serve",
+        }
+        for name in cli.SELFCHECKS:
+            assert parser.parse_args(["selfcheck", f"--{name}"]).check == name
+        assert parser.parse_args(["selfcheck", "--faults"]).check is None
